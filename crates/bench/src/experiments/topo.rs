@@ -34,7 +34,7 @@ use crate::report::{write_bench_json, BenchRecord, Table};
 use crate::serve::{run_serve_engine, ArrivalConfig, ArrivalShape, ServeConfig, TenantSpec};
 use crate::HarnessConfig;
 use gallatin::{DevicePool, GallatinConfig, GallatinPool, TopoStats};
-use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr};
+use gpu_sim::{launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, PEER_ACCESS_STEPS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -122,7 +122,7 @@ fn skew_run(devices: u32, skew: u64, seed: u64) -> TopoStats {
 /// The spill cascade: one SM claims every segment of the whole topology
 /// with segment-sized allocations, then frees them all. Returns the
 /// snapshot, the claim count, and the cascade's interconnect cost in
-/// schedule steps (peer accesses × peer tariff).
+/// schedule steps (peer accesses × `PEER_ACCESS_STEPS`).
 fn cascade(devices: u32) -> (TopoStats, u64, u64) {
     let pool = DevicePool::new(devices, WIDTH, GallatinConfig::small_test(HEAP));
     let claims = devices as u64 * WIDTH as u64 * 16;
@@ -137,7 +137,7 @@ fn cascade(devices: u32) -> (TopoStats, u64, u64) {
     });
     pool.check_invariants().expect("clean after the cascade round-trip");
     let stats = pool.topo_stats();
-    let cost = stats.peer_accesses * pool.topology().cost().peer_steps;
+    let cost = stats.peer_accesses * PEER_ACCESS_STEPS;
     (stats, claims, cost)
 }
 
@@ -180,11 +180,8 @@ fn parity(seeds: u64) -> (ParityCounts, f64, ParityCounts, f64, bool) {
     };
     let (flat, flat_ms) =
         churn_counts(|| GallatinPool::new(WIDTH, block_churn_config()), |p, i| inst(p, i), seeds);
-    let (one, one_ms) = churn_counts(
-        || DevicePool::new(1, WIDTH, block_churn_config()),
-        |t, i| inst(t.pool(0), i),
-        seeds,
-    );
+    let (one, one_ms) =
+        churn_counts(|| DevicePool::new(1, WIDTH, block_churn_config()), |t, i| inst(t, i), seeds);
     let ok = flat == one;
     (flat, flat_ms, one, one_ms, ok)
 }

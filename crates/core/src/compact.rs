@@ -25,7 +25,7 @@
 
 use crate::gallatin::Gallatin;
 use crate::pool::GallatinPool;
-use gpu_sim::{trace, DevicePtr};
+use gpu_sim::DevicePtr;
 use std::collections::{HashMap, HashSet};
 
 /// One migrated allocation: the caller must replace `old` with `new` in
@@ -119,8 +119,8 @@ impl Gallatin {
 impl GallatinPool {
     /// Pool-wide compaction: split `live` by owning instance (via the
     /// segment routing table) and run each instance's pass under its
-    /// trace-instance stamp, so the ledger keeps pairing per
-    /// `(instance, ptr)`. Typically followed by
+    /// `(device, instance)` trace stamp, so the ledger keeps pairing per
+    /// owner. Typically followed by
     /// [`GallatinPool::donate`] or [`GallatinPool::shrink_to`] — the
     /// point of compaction is that afterwards there are whole free
     /// segments to move.
@@ -132,9 +132,7 @@ impl GallatinPool {
             if mine.is_empty() {
                 continue;
             }
-            out.extend(trace::with_instance(i as u32, || {
-                self.instance(i).compact(&mine, max_occupancy)
-            }));
+            out.extend(self.on_instance(i, |inst| inst.compact(&mine, max_occupancy)));
         }
         out
     }

@@ -1,83 +1,35 @@
-//! A hierarchical pool-of-pools spanning a multi-device topology.
+//! The multi-device face of the pool.
 //!
-//! [`crate::pool::GallatinPool`] shards one device's heap across `n`
-//! Gallatin instances; a [`DevicePool`] lifts the same design one level
-//! up: `d` per-device pools over a [`Topology`] of `d` arenas joined by
-//! an interconnect with asymmetric local/peer cost. Every routing idea
-//! repeats at the new scale, which is the point — the pool was designed
-//! so its mechanisms (affinity placement, ownership-routed frees,
-//! quiesce-gated re-homing) compose instead of needing a rewrite:
+//! A [`DevicePool`] is a [`GallatinPool`] built over a [`Topology`](gpu_sim::Topology) of
+//! `devices` arenas of `width` instances each — the same single
+//! `devices × width` placement walk, owner table, parked lists, and
+//! ownership audit (see `crate::pool` and `crate::elastic`), with
+//! nothing layered on top. It derefs to the pool for every counter and
+//! elastic operation ([`GallatinPool::donate_across`],
+//! [`GallatinPool::total_cross_spills`], …) and adds only:
 //!
-//! * **Placement** is SM-affine twice over: a warp on SM `s` allocates
-//!   from device `s % d` (matching [`Topology::affinity_device`]), and
-//!   within that device's pool from instance `s % n`.
-//! * **Spill is strictly layered**: the home device's pool runs its full
-//!   in-device walk (home instance → adopt-before-spill → sibling
-//!   instances) and only a whole-device denial sends the request across
-//!   the interconnect to the next device — the last resort, charged to
-//!   the home device in [`DevicePool::cross_spill_count`] only when a
-//!   peer actually serves it.
-//! * **Frees route by segment home**: pointers are global offsets into
-//!   the one topology reservation, `ptr / segment_bytes` names the
-//!   segment, and [`DevicePool`]'s `seg_home` table names the owning
-//!   *device* (whose pool's `seg_owner` then names the instance). The
-//!   two-level route stays correct across cross-device donation because
-//!   donation updates both tables before the new owner can allocate.
-//! * **Elastic donation crosses devices** ([`DevicePool::donate_across`])
-//!   with the exact quiesce protocol of `crate::elastic`: only segments
-//!   the shared table shows quiescent-free move, so no live pointer ever
-//!   changes owner and the `(device, instance, ptr)` ledger pairing
-//!   survives. Bytes are never copied — on real hardware the donated
-//!   segment's pages stay resident on the donor GPU and the recipient
-//!   serves them as mapped peer memory, which the traffic counters then
-//!   make visible.
+//! * a borrowed per-device view ([`DevicePool::pool`]) and the
+//!   topology snapshot ([`DevicePool::topo_stats`]);
+//! * its [`DeviceAllocator`] identity: the name `"DevicePool"`, and
+//!   [`DeviceAllocator::metrics`] returning the local/peer traffic
+//!   counters (a plain [`GallatinPool`] reports per-instance metrics
+//!   only).
 //!
-//! Every access the pool serves is classified local/peer against the
-//! issuing SM's affinity device ([`Topology::classify_access`]) into the
-//! pool's own [`Metrics`] — host-side accounting only, never a scheduler
-//! preemption point, so a 1-device `DevicePool` replays a standalone
-//! `GallatinPool` bit-identically (instance metrics, traces, counters).
+//! Bytes are never copied between devices: a segment donated across
+//! devices stays resident on its physical device and the recipient
+//! serves it as peer memory, which the traffic counters then show.
 
 use crate::config::GallatinConfig;
-use crate::gallatin::ledger_errors;
-use crate::pool::{GallatinPool, PoolStats, UNOWNED};
-use crate::table::MemoryTable;
-use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, InterconnectCost, LaneCtx,
-    Metrics, Topology, WarpCtx, WARP_SIZE,
-};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::gallatin::Gallatin;
+use crate::pool::{GallatinPool, PoolStats};
+use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, WarpCtx};
+use std::ops::Deref;
+use std::sync::atomic::Ordering;
 
-/// `d` per-device [`GallatinPool`]s over one [`Topology`] reservation
-/// and one shared memory table, with SM→device affinity, device-homed
-/// free routing, cross-device spill as the last resort, and
+/// A [`GallatinPool`] spanning `devices` devices: SM→device affinity,
+/// ownership-routed frees, cross-device spill as the last resort, and
 /// quiesce-gated cross-device segment donation.
-pub struct DevicePool {
-    topo: Topology,
-    pools: Vec<GallatinPool>,
-    /// The shared per-segment metadata table (every pool's every
-    /// instance holds the same `Arc`); quiesce checks read it directly.
-    table: Arc<MemoryTable>,
-    /// Bytes per segment (global-offset → segment routing).
-    segment_bytes: u64,
-    /// Total segments across the whole topology.
-    num_segments: u64,
-    /// Segments per device at construction (reset restores this).
-    segs_per_device: u64,
-    /// Device-level routing table: the device whose pool answers for
-    /// each segment. Differs from the *physical* device
-    /// (`ptr / device_stride`) only after cross-device donation.
-    seg_home: Vec<AtomicU32>,
-    /// Allocations device `d`'s pool denied wholesale and a peer device
-    /// absorbed (charged to the home device, only on actual placement).
-    cross_spills: Vec<AtomicU64>,
-    /// Segments re-homed device-to-device so far.
-    cross_donations: AtomicU64,
-    /// Pool-of-pools traffic counters: every served access classified
-    /// local/peer against the issuing SM's affinity device.
-    metrics: Metrics,
-}
+pub struct DevicePool(GallatinPool);
 
 /// Point-in-time snapshot of the whole topology's occupancy, pressure,
 /// and interconnect traffic — what the E23 scaling experiment reads.
@@ -87,7 +39,7 @@ pub struct TopoStats {
     pub heap_bytes: u64,
     /// Total bytes reserved across every device.
     pub reserved_bytes: u64,
-    /// In-device spills summed over every device's pool.
+    /// In-device spills summed over every device.
     pub in_device_spills: u64,
     /// Whole-device denials a peer device absorbed.
     pub cross_spills: u64,
@@ -114,700 +66,115 @@ impl TopoStats {
 }
 
 impl DevicePool {
-    /// Build `devices` pools of `width` instances each, every instance
-    /// configured by `cfg` (so `cfg.heap_bytes` is the *per-instance*
-    /// shard; the topology manages `devices × width` times that), with
-    /// the default interconnect tariff.
+    /// Build `devices × width` instances, every instance configured by
+    /// `cfg` (so `cfg.heap_bytes` is the *per-instance* shard; the
+    /// topology manages `devices × width` times that).
     pub fn new(devices: u32, width: usize, cfg: GallatinConfig) -> Self {
-        Self::with_cost(devices, width, cfg, InterconnectCost::default())
+        DevicePool(GallatinPool::with_devices(devices, width, cfg))
     }
 
-    /// Build with an explicit interconnect tariff.
-    pub fn with_cost(
-        devices: u32,
-        width: usize,
-        cfg: GallatinConfig,
-        cost: InterconnectCost,
-    ) -> Self {
-        assert!(devices > 0, "a topology needs at least one device");
-        assert!(width > 0, "a device pool needs at least one instance");
-        let stride = cfg.geometry().heap_bytes;
-        let device_bytes = stride.checked_mul(width as u64).expect("device size overflow");
-        let total = device_bytes.checked_mul(devices as u64).expect("topology size overflow");
-        let full = GallatinConfig { heap_bytes: total, ..cfg };
-        let geo = full.geometry();
-        let topo = Topology::with_cost(devices, device_bytes, cost);
-        let table = Arc::new(MemoryTable::new(geo));
-        let segs_per_device = geo.num_segments / devices as u64;
-        let pools = (0..devices as u64)
-            .map(|d| {
-                GallatinPool::with_shared_parts(
-                    width,
-                    full,
-                    topo.memory().clone_view(),
-                    Arc::clone(&table),
-                    d * segs_per_device,
-                    segs_per_device,
-                )
-            })
-            .collect();
-        DevicePool {
-            topo,
-            pools,
-            table,
-            segment_bytes: geo.segment_bytes,
-            num_segments: geo.num_segments,
-            segs_per_device,
-            seg_home: (0..geo.num_segments)
-                .map(|s| AtomicU32::new((s / segs_per_device) as u32))
-                .collect(),
-            cross_spills: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-            cross_donations: AtomicU64::new(0),
-            metrics: Metrics::new(),
-        }
-    }
-
-    /// Number of devices.
-    pub fn devices(&self) -> u32 {
-        self.pools.len() as u32
-    }
-
-    /// Instances per device.
-    pub fn width(&self) -> usize {
-        self.pools[0].num_instances()
-    }
-
-    /// The per-instance nominal heap size (the largest servable request,
-    /// same bound as a standalone pool of the same `cfg`).
-    pub fn stride(&self) -> u64 {
-        self.pools[0].stride()
-    }
-
-    /// Device `d`'s pool, for per-device introspection.
-    pub fn pool(&self, d: usize) -> &GallatinPool {
-        &self.pools[d]
-    }
-
-    /// The underlying topology (windows, stride, interconnect tariff).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Allocations whose home device `d` denied wholesale and a peer
-    /// absorbed.
-    pub fn cross_spill_count(&self, d: usize) -> u64 {
-        self.cross_spills[d].load(Ordering::Relaxed)
-    }
-
-    /// Total cross-device spills across all home devices.
-    pub fn total_cross_spills(&self) -> u64 {
-        self.cross_spills.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Segments re-homed device-to-device so far.
-    pub fn cross_donated_segments(&self) -> u64 {
-        self.cross_donations.load(Ordering::Relaxed)
-    }
-
-    /// The device whose pool currently answers for `seg`.
-    pub fn home_of_segment(&self, seg: u64) -> usize {
-        self.seg_home[seg as usize].load(Ordering::Acquire) as usize
+    /// Device `d`'s share of the pool, for per-device introspection.
+    pub fn pool(&self, d: usize) -> DeviceView<'_> {
+        assert!(d < self.devices.len(), "device {d} out of range");
+        DeviceView { pool: &self.0, d }
     }
 
     /// Snapshot occupancy, pressure, and interconnect traffic.
     pub fn topo_stats(&self) -> TopoStats {
-        let devices: Vec<PoolStats> = self.pools.iter().map(|p| p.pool_stats()).collect();
-        let m = self.metrics.snapshot();
+        let devices: Vec<PoolStats> =
+            (0..self.devices.len()).map(|d| self.pool(d).pool_stats()).collect();
+        let m = self.traffic.snapshot();
         TopoStats {
             heap_bytes: self.heap_bytes(),
             reserved_bytes: devices.iter().map(|s| s.reserved_bytes).sum(),
             in_device_spills: devices.iter().map(|s| s.spills).sum(),
             cross_spills: self.total_cross_spills(),
-            cross_donations: self.cross_donated_segments(),
+            cross_donations: self.cross_donations.load(Ordering::Relaxed),
             local_accesses: m.local_accesses,
             peer_accesses: m.peer_accesses,
             devices,
         }
     }
+}
 
-    /// The home device for a warp on `sm_id`.
-    #[inline]
-    fn home(&self, sm_id: u32) -> usize {
-        sm_id as usize % self.pools.len()
-    }
+impl Deref for DevicePool {
+    type Target = GallatinPool;
 
-    /// Device-level routing of a pool pointer, via `seg_home`.
-    #[inline]
-    fn home_of(&self, ptr: DevicePtr) -> usize {
-        let seg = ptr.0 / self.segment_bytes;
-        assert!(seg < self.num_segments, "free of foreign pointer {}", ptr.0);
-        self.seg_home[seg as usize].load(Ordering::Acquire) as usize
-    }
-
-    /// Re-home up to `max` quiescent free segments from device `from`'s
-    /// pool to device `to`'s, spreading them round-robin over the
-    /// recipient's instances. Parked (shrunk) segments move first, then
-    /// instance-free ones. Returns the number donated; a segment that
-    /// fails the quiesce check bounces back and the donation aborts with
-    /// an error naming the partial progress — never a torn state.
-    ///
-    /// Bytes never move: the recipient serves the donated segment as
-    /// peer memory, which the local/peer counters then show.
-    pub fn donate_across(&self, from: usize, to: usize, max: u64) -> Result<u64, String> {
-        if from == to {
-            return Err("cross-device donation requires two distinct devices".to_string());
-        }
-        let nd = self.pools.len();
-        if from >= nd || to >= nd {
-            return Err(format!("donation between out-of-range devices {from} -> {to}"));
-        }
-        let donor = &self.pools[from];
-        let recipient = &self.pools[to];
-        let width = recipient.num_instances();
-        let mut moved = 0u64;
-        while moved < max {
-            // Claim-unreachable: withdraw from the donor's parked list
-            // first (already instance-free), then from its instances.
-            let src = if let Some(seg) = donor.pool_free.claim_first_ge(0) {
-                donor.pool_free_len.fetch_sub(1, Ordering::Relaxed);
-                (None, seg)
-            } else {
-                let mut found = None;
-                for i in 0..donor.num_instances() {
-                    if let Some(seg) = donor.instance(i).withdraw_free_segment() {
-                        found = Some((Some(i), seg));
-                        break;
-                    }
-                }
-                match found {
-                    Some(x) => x,
-                    None => break,
-                }
-            };
-            let (src_inst, seg) = src;
-            // Quiesce-check on the shared metadata — the protocol step,
-            // not an optimization: a failing segment bounces back to
-            // exactly where it came from.
-            if !self.table.seg(seg).is_quiescent_free() {
-                match src_inst {
-                    Some(i) => donor.instance(i).adopt_segment(seg),
-                    None => {
-                        donor.pool_free.insert(seg);
-                        donor.pool_free_len.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.cross_donations.fetch_add(moved, Ordering::Relaxed);
-                return Err(format!(
-                    "segment {seg} failed the quiesce check mid-donation \
-                     ({moved} segment(s) already moved across devices)"
-                ));
-            }
-            // Re-home: responsibility and routing first (device table,
-            // then instance table), publish into the recipient's tree
-            // last — a free targeting the segment must route to the new
-            // owner from the instant it can hand out pointers.
-            let dst_inst = (moved as usize) % width;
-            donor.seg_owner[seg as usize].store(UNOWNED, Ordering::Release);
-            donor.resp_len.fetch_sub(1, Ordering::Relaxed);
-            recipient.seg_owner[seg as usize].store(dst_inst as u32, Ordering::Release);
-            recipient.resp_len.fetch_add(1, Ordering::Relaxed);
-            self.seg_home[seg as usize].store(to as u32, Ordering::Release);
-            trace::with_device(to as u32, || {
-                trace::emit(|| trace::TraceEvent::SegmentDonate {
-                    from: from as u32,
-                    to: to as u32,
-                    seg,
-                })
-            });
-            recipient.instance(dst_inst).adopt_segment(seg);
-            moved += 1;
-        }
-        self.cross_donations.fetch_add(moved, Ordering::Relaxed);
-        Ok(moved)
-    }
-
-    /// The device-level share of the invariant check: every segment's
-    /// home device exists and its pool actually answers for the segment
-    /// (an instance owns it or it is parked there), no other device's
-    /// pool also claims it, and each pool's responsibility count matches
-    /// the routing table.
-    fn home_audit(&self, errors: &mut Vec<String>) {
-        let nd = self.pools.len();
-        let mut resp_by_home = vec![0u64; nd];
-        for seg in 0..self.num_segments {
-            let h = self.seg_home[seg as usize].load(Ordering::Acquire) as usize;
-            if h >= nd {
-                errors.push(format!("segment {seg} is homed on nonexistent device {h}"));
-                continue;
-            }
-            resp_by_home[h] += 1;
-            for (d, pool) in self.pools.iter().enumerate() {
-                let claimed = pool.seg_owner[seg as usize].load(Ordering::Acquire) != UNOWNED
-                    || pool.pool_free.contains(seg);
-                if d == h && !claimed {
-                    errors.push(format!(
-                        "segment {seg} is homed on device {d} but its pool does not answer \
-                         for it (no owning instance, not parked)"
-                    ));
-                }
-                if d != h && claimed {
-                    errors.push(format!(
-                        "segment {seg} is homed on device {h} but device {d}'s pool also \
-                         claims it"
-                    ));
-                }
-            }
-        }
-        for (d, pool) in self.pools.iter().enumerate() {
-            let resp = pool.resp_len.load(Ordering::Relaxed);
-            if resp != resp_by_home[d] {
-                errors.push(format!(
-                    "device {d} answers for {resp} segments but the home table routes \
-                     {} there",
-                    resp_by_home[d]
-                ));
-            }
-        }
+    fn deref(&self) -> &GallatinPool {
+        &self.0
     }
 }
 
+/// One device's instances and counters, borrowed from a [`DevicePool`].
+/// Instance indices are local to the device.
+#[derive(Clone, Copy)]
+pub struct DeviceView<'a> {
+    pool: &'a GallatinPool,
+    d: usize,
+}
+
+impl<'a> DeviceView<'a> {
+    /// Instances on this device.
+    pub fn num_instances(&self) -> usize {
+        self.pool.width()
+    }
+
+    /// This device's instance `i`.
+    pub fn instance(&self, i: usize) -> &'a Gallatin {
+        self.pool.instance(self.d * self.pool.width() + i)
+    }
+
+    /// In-device spills charged to this device's instances.
+    pub fn total_spills(&self) -> u64 {
+        (0..self.num_instances())
+            .map(|i| self.pool.spill_count(self.d * self.pool.width() + i))
+            .sum()
+    }
+
+    /// Segments parked on this device.
+    pub fn pool_free_segments(&self) -> u64 {
+        self.pool.devices[self.d].parked.count()
+    }
+
+    /// [`PoolStats`] over this device's instances and counters.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats_over(self.d..self.d + 1)
+    }
+}
+
+/// Implement each listed method by calling the wrapped pool's.
+macro_rules! forward {
+    ($(fn $name:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*) => {
+        $(fn $name(&self $(, $arg: $ty)*) $(-> $ret)? { self.0.$name($($arg),*) })*
+    };
+}
+
+/// Forwards to the pool; only the name and the metrics differ.
 impl DeviceAllocator for DevicePool {
     fn name(&self) -> &str {
         "DevicePool"
     }
 
-    fn memory(&self) -> &DeviceMemory {
-        self.topo.memory()
-    }
-
-    fn malloc(&self, ctx: &LaneCtx, size: u64) -> DevicePtr {
-        let nd = self.pools.len();
-        let hd = self.home(ctx.sm_id());
-        if size > self.stride() {
-            // Unservable anywhere: one denial, charged by the home
-            // device's pool — exactly what a standalone pool counts.
-            return trace::with_device(hd as u32, || self.pools[hd].malloc(ctx, size));
-        }
-        for k in 0..nd {
-            let d = (hd + k) % nd;
-            let p = trace::with_device(d as u32, || self.pools[d].malloc(ctx, size));
-            if !p.is_null() {
-                if k > 0 {
-                    self.cross_spills[hd].fetch_add(1, Ordering::Relaxed);
-                }
-                self.topo.classify_access(ctx.sm_id(), p, &self.metrics);
-                return p;
-            }
-        }
-        DevicePtr::NULL
-    }
-
-    fn free(&self, ctx: &LaneCtx, ptr: DevicePtr) {
-        let d = self.home_of(ptr);
-        self.topo.classify_access(ctx.sm_id(), ptr, &self.metrics);
-        trace::with_device(d as u32, || self.pools[d].free(ctx, ptr));
-    }
-
-    /// Warp-collective allocation, layered like the scalar path: the
-    /// whole warp goes to its home device's pool (which runs its own
-    /// in-device home/spill walk as coalesced groups), then only the
-    /// lanes that whole device denied retry across the interconnect.
-    fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
-        debug_assert_eq!(sizes.len(), warp.active as usize);
-        debug_assert_eq!(out.len(), warp.active as usize);
-        let nd = self.pools.len();
-        let hd = self.home(warp.sm_id);
-        trace::with_device(hd as u32, || self.pools[hd].warp_malloc(warp, sizes, out));
-        if nd > 1 {
-            let active = warp.active as usize;
-            // Oversize lanes were already denied (and counted once) by
-            // the home pool; only servable unserved lanes cross over.
-            let mut rest = [None::<u64>; WARP_SIZE];
-            let mut unserved = 0u64;
-            for lane in warp.lanes() {
-                if out[lane].is_null() {
-                    if let Some(sz) = sizes[lane] {
-                        if sz <= self.stride() {
-                            rest[lane] = Some(sz);
-                            unserved += 1;
-                        }
-                    }
-                }
-            }
-            let mut sub = [DevicePtr::NULL; WARP_SIZE];
-            for k in 1..nd {
-                if unserved == 0 {
-                    break;
-                }
-                let d = (hd + k) % nd;
-                trace::with_device(d as u32, || {
-                    self.pools[d].warp_malloc(warp, &rest[..active], &mut sub[..active])
-                });
-                let mut served = 0u64;
-                for lane in warp.lanes() {
-                    if !sub[lane].is_null() {
-                        out[lane] = sub[lane];
-                        sub[lane] = DevicePtr::NULL;
-                        rest[lane] = None;
-                        served += 1;
-                    }
-                }
-                if served > 0 {
-                    // Charged only on actual peer placement; a walk every
-                    // device denies is a failed malloc, not a spill.
-                    self.cross_spills[hd].fetch_add(served, Ordering::Relaxed);
-                    unserved -= served;
-                }
-            }
-        }
-        for lane in warp.lanes() {
-            if !out[lane].is_null() {
-                self.topo.classify_access(warp.sm_id, out[lane], &self.metrics);
-            }
-        }
-    }
-
-    /// Warp-collective free with per-device regrouping (then per-instance
-    /// regrouping inside each pool), so coalescing survives both levels
-    /// of sharding.
-    fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
-        debug_assert_eq!(ptrs.len(), warp.active as usize);
-        for lane in warp.lanes() {
-            if !ptrs[lane].is_null() {
-                self.topo.classify_access(warp.sm_id, ptrs[lane], &self.metrics);
-            }
-        }
-        let nd = self.pools.len();
-        if nd == 1 {
-            return trace::with_device(0, || self.pools[0].warp_free(warp, ptrs));
-        }
-        let active = warp.active as usize;
-        for (d, pool) in self.pools.iter().enumerate() {
-            let mut local = [DevicePtr::NULL; WARP_SIZE];
-            let mut any = false;
-            for lane in warp.lanes() {
-                let p = ptrs[lane];
-                if !p.is_null() && self.home_of(p) == d {
-                    local[lane] = p;
-                    any = true;
-                }
-            }
-            if any {
-                trace::with_device(d as u32, || pool.warp_free(warp, &local[..active]));
-            }
-        }
-    }
-
-    fn reset(&self) {
-        for pool in &self.pools {
-            pool.reset_local_pool();
-        }
-        // The table spans every device: reset it exactly once.
-        self.table.reset();
-        for (s, h) in self.seg_home.iter().enumerate() {
-            h.store((s as u64 / self.segs_per_device) as u32, Ordering::Relaxed);
-        }
-        for c in &self.cross_spills {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.cross_donations.store(0, Ordering::Relaxed);
-        self.metrics.reset();
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        self.pools.iter().map(|p| p.heap_bytes()).sum()
-    }
-
-    fn supports_size(&self, size: u64) -> bool {
-        size <= self.stride()
-    }
-
-    fn max_native_size(&self) -> u64 {
-        self.stride()
-    }
-
     fn metrics(&self) -> Option<&Metrics> {
         // The topology-level counters (local/peer traffic). Per-instance
-        // allocator metrics stay on `pool(d).instance(i)`.
-        Some(&self.metrics)
+        // allocator metrics stay on `instance(g)`.
+        Some(&self.0.traffic)
     }
 
-    fn device_count(&self) -> u32 {
-        self.devices()
-    }
-
-    fn device_of(&self, ptr: DevicePtr) -> u32 {
-        self.topo.device_of(ptr)
-    }
-
-    fn affinity_device(&self, sm: u32) -> u32 {
-        self.topo.affinity_device(sm)
-    }
-
-    /// Verify every device pool's structural and ownership invariants
-    /// (each error prefixed with its device), the device-level home
-    /// audit, plus one topology-wide lifecycle-ledger pass — the ledger
-    /// pairs per `(device, instance, ptr)`, so a free routed to the
-    /// wrong device shows up as an unmatched free *and* a leak.
-    fn check_invariants(&self) -> Result<(), String> {
-        let mut errors: Vec<String> = Vec::new();
-        for (d, pool) in self.pools.iter().enumerate() {
-            for e in pool.local_errors() {
-                errors.push(format!("device {d}: {e}"));
-            }
-        }
-        self.home_audit(&mut errors);
-        ledger_errors(&mut errors);
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            if let Some(path) = trace::auto_dump("device_pool_invariant_failure") {
-                errors.push(format!("trace auto-dumped to {}", path.display()));
-            }
-            Err(errors.join("\n"))
-        }
-    }
-
-    fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.heap_bytes(),
-            reserved_bytes: self.pools.iter().map(|p| p.stats().reserved_bytes).sum(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::WarpCtx;
-
-    fn cfg() -> GallatinConfig {
-        GallatinConfig::small_test(1 << 20) // 16 segments per instance
-    }
-
-    fn topo_pool(devices: u32, width: usize) -> DevicePool {
-        DevicePool::new(devices, width, cfg())
-    }
-
-    fn warp_on(sm_id: u32, active: u32) -> WarpCtx {
-        WarpCtx { warp_id: sm_id as u64, sm_id, base_tid: (sm_id as u64) << 32, active }
-    }
-
-    #[test]
-    fn affinity_places_on_the_sm_home_device() {
-        let t = topo_pool(2, 2);
-        let stride = t.topology().device_stride();
-        // SM 0 and 2 home on device 0, SM 1 and 3 on device 1.
-        for sm in 0..4u32 {
-            let p = t.malloc(&warp_on(sm, 1).lane(0), 64);
-            assert!(!p.is_null());
-            assert_eq!(p.device_of(stride), sm % 2, "SM {sm} must allocate on its device");
-            assert_eq!(t.device_of(p), t.affinity_device(sm));
-            t.free(&warp_on(sm, 1).lane(0), p);
-        }
-        let s = t.topo_stats();
-        assert_eq!((s.cross_spills, s.peer_accesses), (0, 0), "all-affine traffic stays local");
-        assert_eq!(s.local_accesses, 8, "4 mallocs + 4 frees, all local");
-        assert_eq!(t.stats().reserved_bytes, 0);
-        t.check_invariants().expect("clean after affine traffic");
-    }
-
-    #[test]
-    fn whole_device_denial_spills_across_the_interconnect() {
-        let t = topo_pool(2, 2);
-        let seg = t.pool(0).instance(0).geometry().segment_bytes;
-        let l0 = warp_on(0, 1);
-        // Exhaust device 0 wholesale: 2 instances × 16 segments.
-        let held: Vec<_> = (0..32).map(|_| t.malloc(&l0.lane(0), seg)).collect();
-        assert!(held.iter().all(|q| !q.is_null()));
-        assert_eq!(t.total_cross_spills(), 0, "in-device walk absorbed everything so far");
-        assert!(t.pool(0).total_spills() > 0, "the in-device spill walk ran first");
-        // The 33rd crosses to device 1 — charged to home device 0, and
-        // the access is classified peer.
-        let crossed = t.malloc(&l0.lane(0), seg);
-        assert!(!crossed.is_null());
-        assert_eq!(t.device_of(crossed), 1, "served by the peer device");
-        assert_eq!(t.cross_spill_count(0), 1);
-        assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 1);
-        // Frees route home by segment ownership regardless of SM.
-        t.free(&warp_on(3, 1).lane(0), crossed);
-        for q in held {
-            t.free(&warp_on(2, 1).lane(0), q);
-        }
-        assert_eq!(t.stats().reserved_bytes, 0);
-        t.check_invariants().expect("clean after cross-device spill + routed frees");
-    }
-
-    #[test]
-    fn cross_device_donation_rehomes_and_routing_follows() {
-        let t = topo_pool(2, 2);
-        assert_eq!(t.donate_across(0, 1, 4), Ok(4));
-        assert_eq!(t.cross_donated_segments(), 4);
-        t.check_invariants().expect("clean after cross-device donation");
-        // Device 1 now answers for 36 segments; device 0 for 28.
-        let s = t.topo_stats();
-        let owned: Vec<u64> = s
-            .devices
-            .iter()
-            .map(|d| d.instances.iter().map(|i| i.owned_segments).sum::<u64>())
-            .collect();
-        assert_eq!(owned, vec![28, 36], "responsibility moved without copying bytes");
-        // Device 1 can hold 36 segment claims with no cross-device spill;
-        // the 4 donated ones are physically on device 0, so those
-        // allocations classify as peer accesses.
-        let seg = t.pool(0).instance(0).geometry().segment_bytes;
-        let l1 = warp_on(1, 1);
-        let held: Vec<_> = (0..36).map(|_| t.malloc(&l1.lane(0), seg)).collect();
-        assert!(held.iter().all(|q| !q.is_null()));
-        assert_eq!(t.total_cross_spills(), 0, "donated headroom absorbed the pressure");
-        let donated: Vec<_> = held.iter().filter(|q| t.device_of(**q) == 0).collect();
-        assert_eq!(donated.len(), 4, "exactly the donated segments are peer memory");
-        assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 4);
-        // Frees of donated-segment pointers route to device 1 (the
-        // owner), not device 0 (the physical host).
-        for q in held {
-            t.free(&warp_on(5, 1).lane(0), q);
-        }
-        assert_eq!(t.stats().reserved_bytes, 0);
-        t.check_invariants().expect("clean after routed frees of donated segments");
-    }
-
-    #[test]
-    fn donation_bounces_when_the_quiesce_check_fails() {
-        use crate::table::TREE_FREE;
-        use std::sync::atomic::Ordering;
-        let t = topo_pool(2, 1);
-        // Plant a torn state on device 0's first segment.
-        t.pool(0).instance(0).table().seg(0).tree_id.store(0, Ordering::SeqCst);
-        let err = t.donate_across(0, 1, 16).unwrap_err();
-        assert!(err.contains("quiesce"), "unexpected error: {err}");
-        assert_eq!(t.cross_donated_segments(), 0);
-        // Repair and retry: the full span crosses.
-        t.pool(0).instance(0).table().seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
-        assert_eq!(t.donate_across(0, 1, 16), Ok(16));
-        t.check_invariants().expect("clean after the repaired donation");
-    }
-
-    #[test]
-    fn oversize_requests_are_denied_once_and_walk_nothing() {
-        let t = topo_pool(2, 2);
-        assert!(!t.supports_size(t.stride() + 1));
-        assert_eq!(t.max_native_size(), t.stride());
-        assert!(t.malloc(&warp_on(0, 1).lane(0), t.stride() + 1).is_null());
-        assert_eq!(t.pool(0).oversize_denials(), 1, "home device counts the one denial");
-        assert_eq!(t.pool(1).oversize_denials(), 0, "peers are never consulted");
-        let w = warp_on(0, 32);
-        let sizes = vec![Some(t.stride() + 1); 32];
-        let mut out = vec![DevicePtr(7); 32];
-        t.warp_malloc(&w, &sizes, &mut out);
-        assert!(out.iter().all(|q| q.is_null()));
-        assert_eq!(t.pool(0).oversize_denials(), 33);
-        assert_eq!(t.pool(1).oversize_denials(), 0);
-        assert_eq!(t.total_cross_spills(), 0, "an unservable size is not a spill");
-    }
-
-    #[test]
-    fn warp_collectives_regroup_across_devices() {
-        let t = topo_pool(2, 1);
-        let w0 = warp_on(0, 32);
-        let w1 = warp_on(1, 32);
-        let sizes = vec![Some(16u64); 32];
-        let mut a = vec![DevicePtr::NULL; 32];
-        let mut b = vec![DevicePtr::NULL; 32];
-        t.warp_malloc(&w0, &sizes, &mut a);
-        t.warp_malloc(&w1, &sizes, &mut b);
-        assert!(a.iter().all(|q| !q.is_null() && t.device_of(*q) == 0));
-        assert!(b.iter().all(|q| !q.is_null() && t.device_of(*q) == 1));
-        // Interleave both devices' pointers in one collective free: each
-        // device's pool receives its half as one group.
-        let mixed: Vec<DevicePtr> = (0..32).map(|l| if l % 2 == 0 { a[l] } else { b[l] }).collect();
-        let rest: Vec<DevicePtr> = (0..32).map(|l| if l % 2 == 0 { b[l] } else { a[l] }).collect();
-        t.warp_free(&w0, &mixed);
-        t.warp_free(&w1, &rest);
-        assert_eq!(t.stats().reserved_bytes, 0);
-        t.check_invariants().expect("clean after interleaved cross-device frees");
-    }
-
-    #[test]
-    fn reset_restores_the_initial_topology() {
-        let t = topo_pool(2, 2);
-        let seg = t.pool(0).instance(0).geometry().segment_bytes;
-        let l0 = warp_on(0, 1);
-        for _ in 0..33 {
-            assert!(!t.malloc(&l0.lane(0), seg).is_null());
-        }
-        assert_eq!(t.total_cross_spills(), 1);
-        assert_eq!(t.donate_across(1, 0, 2), Ok(2));
-        t.reset();
-        let s = t.topo_stats();
-        assert_eq!((s.reserved_bytes, s.cross_spills, s.cross_donations), (0, 0, 0));
-        assert_eq!((s.local_accesses, s.peer_accesses), (0, 0));
-        for d in 0..2 {
-            assert!(s.devices[d].instances.iter().all(|i| i.owned_segments == 16));
-        }
-        t.check_invariants().expect("clean after reset");
-    }
-
-    #[test]
-    #[should_panic(expected = "foreign pointer")]
-    fn foreign_pointer_free_panics() {
-        let t = topo_pool(2, 1);
-        t.free(&warp_on(0, 1).lane(0), DevicePtr(t.heap_bytes() + 64));
-    }
-
-    #[test]
-    fn invariant_check_names_the_corrupt_device() {
-        use std::sync::atomic::Ordering;
-        let t = topo_pool(2, 1);
-        // Segment 17 is device 1's: claim its tree_id without removing
-        // it from the segment tree or formatting it.
-        t.pool(1).instance(0).table().seg(17).tree_id.store(0, Ordering::SeqCst);
-        let err = t.check_invariants().unwrap_err();
-        assert!(err.contains("device 1: instance 0: segment 17"), "unexpected report: {err}");
-    }
-
-    #[test]
-    fn single_device_pool_matches_a_standalone_pool_bit_for_bit() {
-        // The refactor's parity gate: DevicePool(1, n, cfg) must replay
-        // GallatinPool(n, cfg) exactly — same placement, same counters,
-        // same per-instance metrics — because the topology layer adds
-        // only host-side accounting (never a preemption point).
-        let one = DevicePool::new(1, 2, cfg());
-        let flat = GallatinPool::new(2, cfg());
-        let seg = flat.instance(0).geometry().segment_bytes;
-        let drive = |a: &dyn DeviceAllocator| {
-            let mut held = Vec::new();
-            for sm in 0..4u32 {
-                for i in 0..5u64 {
-                    let p = a.malloc(&warp_on(sm, 1).lane(0), 16 << (i % 3));
-                    assert!(!p.is_null());
-                    held.push((sm, p));
-                }
-            }
-            // Force the in-device spill walk on both.
-            for _ in 0..17 {
-                let p = a.malloc(&warp_on(0, 1).lane(0), seg);
-                assert!(!p.is_null());
-                held.push((0, p));
-            }
-            for (sm, p) in held {
-                a.free(&warp_on(sm, 1).lane(0), p);
-            }
-        };
-        drive(&one);
-        drive(&flat);
-        for i in 0..2 {
-            assert_eq!(
-                one.pool(0).instance(i).metrics().unwrap().snapshot(),
-                flat.instance(i).metrics().unwrap().snapshot(),
-                "instance {i} metrics must be bit-identical"
-            );
-        }
-        assert_eq!(one.pool(0).total_spills(), flat.total_spills());
-        assert_eq!(one.pool(0).pool_stats(), flat.pool_stats());
-        assert_eq!(one.total_cross_spills(), 0, "one device has no peers to spill to");
-        assert_eq!(one.metrics().unwrap().snapshot().peer_accesses, 0);
-        one.check_invariants().expect("clean");
-        flat.check_invariants().expect("clean");
+    forward! {
+        fn memory(&self) -> &DeviceMemory;
+        fn malloc(&self, ctx: &LaneCtx, size: u64) -> DevicePtr;
+        fn free(&self, ctx: &LaneCtx, ptr: DevicePtr);
+        fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]);
+        fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]);
+        fn reset(&self);
+        fn heap_bytes(&self) -> u64;
+        fn supports_size(&self, size: u64) -> bool;
+        fn max_native_size(&self) -> u64;
+        fn device_count(&self) -> u32;
+        fn device_of(&self, ptr: DevicePtr) -> u32;
+        fn affinity_device(&self, sm: u32) -> u32;
+        fn check_invariants(&self) -> Result<(), String>;
+        fn stats(&self) -> AllocStats;
     }
 }

@@ -12,29 +12,27 @@
 //! instances share one arena and one memory table; ownership is only
 //! tree membership plus a row in the pool's routing table.
 //!
-//! **Donation** (`donate`) moves quiescent free segments from a cold
-//! instance straight to a hot one, in three steps per segment:
+//! Every re-homing — **donation** instance-to-instance (`donate`) or
+//! device-to-device (`donate_across`), **shrink** onto a device's
+//! parked list (`shrink_instance` / `shrink_to`), and **grow** back out
+//! of it (also run by the malloc walk's adopt-before-spill) — is one
+//! segment move, in three steps per segment:
 //!
-//! 1. *claim-unreachable* — withdraw the segment's bit from the donor's
-//!    segment tree, so no donor-side malloc can claim it;
+//! 1. *claim-unreachable* — withdraw the segment from its source (an
+//!    instance's segment tree or a parked list), so no malloc there can
+//!    claim it;
 //! 2. *quiesce-check* — verify the shared metadata still shows the
 //!    reclaimed state (the same predicate phase 2 of `try_reclaim`
-//!    publishes). A failure bounces the segment back to the donor and
-//!    aborts the donation — never corrupts;
+//!    publishes). A failure bounces the segment back to its source and
+//!    stops the move — never corrupts;
 //! 3. *re-home* — update `seg_owner` (so frees route to the new owner
-//!    *before* it can hand out pointers), emit a `SegmentDonate` trace
-//!    event, then insert the bit into the recipient's tree.
+//!    *before* it can hand out pointers; a parked segment is unowned),
+//!    then publish the segment at its destination. Donations emit a
+//!    `SegmentDonate` trace event just before.
 //!
 //! Only free segments move, so no live allocation ever changes owner
-//! mid-lifecycle: the trace ledger's `(instance, ptr)` pairing survives
-//! any interleaving of donations with traffic.
-//!
-//! **Shrink** (`shrink_instance` / `shrink_to`) runs the same
-//! withdraw-and-quiesce steps but parks the segment on the pool-level
-//! free list (`seg_owner` = unowned) — memory returned to the pool,
-//! reported as headroom and re-claimable by **grow** (or by the malloc
-//! path's adopt-before-spill, which prefers adopting returned headroom
-//! over spilling to a sibling).
+//! mid-lifecycle: the trace ledger's `(device, instance, ptr)` pairing
+//! survives any interleaving of moves with traffic.
 
 use crate::config::GallatinConfig;
 use crate::gallatin::Gallatin;
@@ -121,13 +119,84 @@ impl Gallatin {
     }
 }
 
+/// Where a segment sits while it moves: in a global instance's segment
+/// tree, or on a device's parked free list.
+#[derive(Clone, Copy)]
+enum Spot {
+    Instance(usize),
+    Parked(usize),
+}
+
 impl GallatinPool {
+    /// Take one free segment out of `spot` (the claim-unreachable step:
+    /// once withdrawn, no malloc can reach it).
+    fn withdraw(&self, spot: Spot) -> Option<u64> {
+        match spot {
+            Spot::Instance(g) => self.instance(g).withdraw_free_segment(),
+            Spot::Parked(d) => {
+                let seg = self.devices[d].parked.claim_first_ge(0)?;
+                self.devices[d].parked_len.fetch_sub(1, Ordering::Relaxed);
+                Some(seg)
+            }
+        }
+    }
+
+    /// Route `seg` to `spot`, then publish it there. Routing comes first
+    /// so a free targeting the segment reaches the new owner from the
+    /// instant the owner can hand out pointers from it.
+    fn settle(&self, seg: u64, spot: Spot) {
+        match spot {
+            Spot::Instance(g) => {
+                self.seg_owner[seg as usize].store(g as u32, Ordering::Release);
+                self.instance(g).adopt_segment(seg);
+            }
+            Spot::Parked(d) => {
+                self.seg_owner[seg as usize].store(UNOWNED, Ordering::Release);
+                self.devices[d].parked.insert(seg);
+                self.devices[d].parked_len.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The one segment move behind donation, shrink, and grow. Up to
+    /// `max` times: withdraw a free segment from the first of `from`
+    /// that has one, check it is quiescent free, `announce` it, then
+    /// route and publish it at `to(k)` for the `k`-th move. A segment
+    /// failing the check bounces back where it came from and ends the
+    /// loop. Returns the segments moved and the bounced segment, if any.
+    fn move_segments(
+        &self,
+        max: u64,
+        from: &[Spot],
+        to: impl Fn(u64) -> Spot,
+        announce: impl Fn(u64),
+    ) -> (u64, Option<u64>) {
+        let mut moved = 0u64;
+        while moved < max {
+            let Some((src, seg)) = from.iter().find_map(|&s| self.withdraw(s).map(|seg| (s, seg)))
+            else {
+                break;
+            };
+            // The protocol step, not an optimization: membership in a
+            // tree or parked list should already imply this, but a
+            // segment that fails it never moves in a torn state.
+            if !self.table.seg(seg).is_quiescent_free() {
+                self.settle(seg, src);
+                return (moved, Some(seg));
+            }
+            announce(seg);
+            self.settle(seg, to(moved));
+            moved += 1;
+        }
+        (moved, None)
+    }
+
     /// Re-home up to `max` quiescent free segments from instance `from`
-    /// to instance `to`. Returns the number donated (possibly 0 when
-    /// the donor has nothing free). A segment that fails the quiesce
-    /// check is bounced back to the donor and the donation aborts with
-    /// an error — partial progress is reported in the error string and
-    /// already counted.
+    /// to instance `to` (global indices). Returns the number donated
+    /// (possibly 0 when the donor has nothing free). A segment that
+    /// fails the quiesce check is bounced back to the donor and the
+    /// donation aborts with an error — partial progress is reported in
+    /// the error string and already counted.
     ///
     /// Host-side operation, but safe to run concurrently with device
     /// traffic: every step is an atomic handoff (tree claim → routing
@@ -140,86 +209,91 @@ impl GallatinPool {
         if from >= n || to >= n {
             return Err(format!("donation between out-of-range instances {from} -> {to}"));
         }
-        let mut moved = 0u64;
-        while moved < max {
-            // Claim-unreachable: withdraw the bit so no donor-side malloc
-            // can find the segment any more.
-            let Some(seg) = self.instance(from).withdraw_free_segment() else { break };
-            // Quiesce-check on the shared metadata. Membership in the
-            // donor's tree should already imply this, but the check is
-            // the protocol, not an optimization: a segment that fails it
-            // bounces back — never crosses instances in a torn state.
-            if !self.table.seg(seg).is_quiescent_free() {
-                self.instance(from).adopt_segment(seg);
-                self.donations.fetch_add(moved, Ordering::Relaxed);
-                return Err(format!(
-                    "segment {seg} failed the quiesce check mid-donation \
-                     ({moved} segment(s) already moved)"
-                ));
-            }
-            // Route first, then publish: a free targeting this segment
-            // must reach the recipient from the instant the recipient
-            // can hand out pointers from it.
-            self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
-            trace::emit(|| trace::TraceEvent::SegmentDonate {
-                from: from as u32,
-                to: to as u32,
-                seg,
-            });
-            self.instance(to).adopt_segment(seg);
-            moved += 1;
-        }
-        self.donations.fetch_add(moved, Ordering::Relaxed);
-        Ok(moved)
+        let (moved, bounced) = self.move_segments(
+            max,
+            &[Spot::Instance(from)],
+            |_| Spot::Instance(to),
+            |seg| {
+                trace::emit(|| trace::TraceEvent::SegmentDonate {
+                    from: from as u32,
+                    to: to as u32,
+                    seg,
+                })
+            },
+        );
+        self.devices[from / self.width()].donations.fetch_add(moved, Ordering::Relaxed);
+        donation_result(moved, bounced, "")
     }
 
-    /// Withdraw up to `max` quiescent free segments from instance `i`
-    /// and park them on the pool-level free list (memory returned to
-    /// the pool). Returns the number returned. Call
-    /// [`GallatinPool::trim`] first to release the buffered wavefront
-    /// if the instance should give up everything it can.
-    pub fn shrink_instance(&self, i: usize, max: u64) -> u64 {
-        let mut count = 0u64;
-        while count < max {
-            let Some(seg) = self.instance(i).withdraw_free_segment() else { break };
-            if !self.table.seg(seg).is_quiescent_free() {
-                // Same bounce as donation: never park a torn segment.
-                self.instance(i).adopt_segment(seg);
-                break;
-            }
-            self.seg_owner[seg as usize].store(UNOWNED, Ordering::Release);
-            self.pool_free.insert(seg);
-            self.pool_free_len.fetch_add(1, Ordering::Relaxed);
-            count += 1;
+    /// Re-home up to `max` quiescent free segments from device `from` to
+    /// device `to`, spreading them round-robin over the recipient's
+    /// instances. Parked segments move first, then instance-free ones.
+    /// Errors and bounces as [`GallatinPool::donate`].
+    ///
+    /// Bytes never move: the recipient serves the donated segment as
+    /// peer memory, which the local/peer counters then show.
+    pub fn donate_across(&self, from: usize, to: usize, max: u64) -> Result<u64, String> {
+        if from == to {
+            return Err("cross-device donation requires two distinct devices".to_string());
         }
-        self.returned.fetch_add(count, Ordering::Relaxed);
+        let (nd, w) = (self.devices.len(), self.width());
+        if from >= nd || to >= nd {
+            return Err(format!("donation between out-of-range devices {from} -> {to}"));
+        }
+        let sources: Vec<Spot> = std::iter::once(Spot::Parked(from))
+            .chain((from * w..(from + 1) * w).map(Spot::Instance))
+            .collect();
+        let (moved, bounced) = self.move_segments(
+            max,
+            &sources,
+            |k| Spot::Instance(to * w + k as usize % w),
+            |seg| {
+                trace::with_device(to as u32, || {
+                    trace::emit(|| trace::TraceEvent::SegmentDonate {
+                        from: from as u32,
+                        to: to as u32,
+                        seg,
+                    })
+                })
+            },
+        );
+        self.cross_donations.fetch_add(moved, Ordering::Relaxed);
+        donation_result(moved, bounced, " across devices")
+    }
+
+    /// Withdraw up to `max` quiescent free segments from instance `g`
+    /// and park them on its device's free list (memory returned to the
+    /// pool). Returns the number returned. Call [`GallatinPool::trim`]
+    /// first to release the buffered wavefront if the instance should
+    /// give up everything it can.
+    pub fn shrink_instance(&self, g: usize, max: u64) -> u64 {
+        let d = g / self.width();
+        let (count, _) = self.move_segments(max, &[Spot::Instance(g)], |_| Spot::Parked(d), |_| {});
+        self.devices[d].returned.fetch_add(count, Ordering::Relaxed);
         count
     }
 
     /// Release whole free segments round-robin across instances until
     /// the instance-owned footprint is at most `target_bytes` (or no
     /// instance can give anything more). Returns the number of segments
-    /// released to the pool free list by this call — best effort: live
-    /// allocations pin their segments.
+    /// parked by this call — best effort: live allocations pin their
+    /// segments.
     pub fn shrink_to(&self, target_bytes: u64) -> u64 {
         let mut released = 0u64;
         loop {
-            // Instance-owned = responsible minus parked (NOT the table
-            // universe: in device-pool mode the universe spans every
-            // device, while responsibility is this pool's alone).
-            let owned =
-                self.resp_len.load(Ordering::Relaxed) - self.pool_free_len.load(Ordering::Relaxed);
-            let owned_bytes = owned * self.segment_bytes;
+            let parked: u64 =
+                self.devices.iter().map(|d| d.parked_len.load(Ordering::Relaxed)).sum();
+            let owned_bytes = (self.seg_owner.len() as u64 - parked) * self.segment_bytes;
             if owned_bytes <= target_bytes {
                 return released;
             }
             let need = (owned_bytes - target_bytes).div_ceil(self.segment_bytes);
             let mut progress = 0u64;
-            for i in 0..self.num_instances() {
+            for g in 0..self.num_instances() {
                 if progress >= need {
                     break;
                 }
-                progress += self.shrink_instance(i, need - progress);
+                progress += self.shrink_instance(g, need - progress);
             }
             released += progress;
             if progress == 0 {
@@ -228,98 +302,75 @@ impl GallatinPool {
         }
     }
 
-    /// Adopt up to `max` segments from the pool-level free list into
-    /// instance `i` (the inverse of shrink). Returns the number
-    /// adopted. The malloc path calls this automatically when a home
-    /// instance is exhausted while the pool holds returned headroom.
-    pub fn grow(&self, i: usize, max: u64) -> u64 {
-        let mut count = 0u64;
-        while count < max {
-            let Some(seg) = self.pool_free.claim_first_ge(0) else { break };
-            self.pool_free_len.fetch_sub(1, Ordering::Relaxed);
-            self.seg_owner[seg as usize].store(i as u32, Ordering::Release);
-            self.instance(i).adopt_segment(seg);
-            count += 1;
-        }
-        self.adopted.fetch_add(count, Ordering::Relaxed);
+    /// Adopt up to `max` segments from instance `g`'s device free list
+    /// (the inverse of shrink). Returns the number adopted. The malloc
+    /// walk calls this automatically when a home instance is exhausted
+    /// while its device holds parked headroom.
+    pub fn grow(&self, g: usize, max: u64) -> u64 {
+        let d = g / self.width();
+        let (count, _) = self.move_segments(max, &[Spot::Parked(d)], |_| Spot::Instance(g), |_| {});
+        self.devices[d].adopted.fetch_add(count, Ordering::Relaxed);
         count
     }
 
-    /// The pool share of the invariant check: the routing table, the
-    /// pool free list, and the shared table must tell one story —
-    /// parked ⇒ unowned and quiescent free, and the responsibility
-    /// balance holds: instance-owned plus parked segments equal exactly
-    /// what this pool is responsible for ([`GallatinPool::resp_len`]).
-    /// Segments that are unowned *and* unparked are foreign (another
-    /// device's, in device-pool mode) and legitimately skipped — the
-    /// balance check is what keeps a dropped segment loud anyway: losing
-    /// one from both the routing table and the free list leaves
-    /// `owned + parked` one short of the responsibility count.
+    /// The ownership audit: every segment is owned by exactly one
+    /// instance, or else parked on exactly one device's list — and then
+    /// quiescent free; each device's parked-length counter matches its
+    /// list. A segment dropped from both the routing table and every
+    /// list is reported as lost.
     pub(crate) fn ownership_audit(&self, errors: &mut Vec<String>) {
         let n = self.num_instances() as u32;
-        let mut owned = 0u64;
-        let mut parked_count = 0u64;
-        for seg in 0..self.num_segments {
-            let o = self.seg_owner[seg as usize].load(Ordering::Acquire);
-            let parked = self.pool_free.contains(seg);
-            if o == UNOWNED {
-                if parked {
-                    parked_count += 1;
-                    if !self.table.seg(seg).is_quiescent_free() {
-                        errors.push(format!(
-                            "segment {seg} is on the pool free list but not quiescent-free"
-                        ));
-                    }
-                }
-                // Unowned and unparked: foreign to this pool.
-            } else {
-                owned += 1;
-                if o >= n {
-                    errors.push(format!("segment {seg} is routed to nonexistent instance {o}"));
-                }
-                if parked {
-                    errors.push(format!(
-                        "segment {seg} is owned by instance {o} but also on the pool free list"
-                    ));
-                }
+        for seg in 0..self.seg_owner.len() as u64 {
+            let on: Vec<usize> =
+                (0..self.devices.len()).filter(|&d| self.devices[d].parked.contains(seg)).collect();
+            let error = match (self.seg_owner[seg as usize].load(Ordering::Acquire), &on[..]) {
+                (UNOWNED, []) => "is neither owned by an instance nor parked".to_string(),
+                (UNOWNED, [_]) if self.table.seg(seg).is_quiescent_free() => continue,
+                (UNOWNED, [d]) => format!("is parked on device {d} but not quiescent-free"),
+                (UNOWNED, _) => format!("is parked on devices {on:?}"),
+                (o, _) if o >= n => format!("is routed to nonexistent instance {o}"),
+                (_, []) => continue,
+                (o, _) => format!("is owned by instance {o} but also parked on devices {on:?}"),
+            };
+            errors.push(format!("segment {seg} {error}"));
+        }
+        for (d, dev) in self.devices.iter().enumerate() {
+            let (len, count) = (dev.parked_len.load(Ordering::Relaxed), dev.parked.count());
+            if len != count {
+                errors.push(format!(
+                    "device {d}'s parked counter says {len}, its list holds {count}"
+                ));
             }
-        }
-        let resp = self.resp_len.load(Ordering::Relaxed);
-        if owned + parked_count != resp {
-            errors.push(format!(
-                "responsibility leak: instances own {owned} + {parked_count} parked \
-                 != {resp} segments this pool answers for"
-            ));
-        }
-        let len = self.pool_free_len.load(Ordering::Relaxed);
-        if len != parked_count {
-            errors.push(format!(
-                "pool free list length counter says {len}, the free list holds {parked_count}"
-            ));
         }
     }
 
-    /// Test-only sabotage: re-home a *formatted* segment from `from` to
-    /// `to` without the claim-unreachable or quiesce steps — exactly
-    /// the corruption a buggy donation would plant. Returns the segment
-    /// moved, or `None` if the donor holds no formatted segment. The
-    /// planted state must be caught by `check_invariants` (the donor
+    /// Test-only sabotage: re-home a *formatted* segment from instance
+    /// `from` to `to` without the claim-unreachable or quiesce steps —
+    /// exactly the corruption a buggy donation would plant. Returns the
+    /// segment moved, or `None` if the donor holds no formatted segment.
+    /// The planted state must be caught by `check_invariants` (the donor
     /// still holds the segment in a block tree it no longer owns; the
     /// recipient sees it simultaneously free and formatted).
     #[doc(hidden)]
     pub fn debug_donate_skip_quiesce(&self, from: usize, to: usize) -> Option<u64> {
         let num_classes = self.instance(from).geometry().num_classes;
-        for seg in 0..self.num_segments {
-            if self.seg_owner[seg as usize].load(Ordering::Acquire) != from as u32 {
-                continue;
-            }
-            if (self.table.seg(seg).ldcv_tree_id() as usize) < num_classes {
-                self.seg_owner[seg as usize].store(to as u32, Ordering::Release);
-                self.instance(to).adopt_segment(seg);
-                return Some(seg);
-            }
-        }
-        None
+        let seg = (0..self.seg_owner.len() as u64).find(|&s| {
+            self.seg_owner[s as usize].load(Ordering::Acquire) == from as u32
+                && (self.table.seg(s).ldcv_tree_id() as usize) < num_classes
+        })?;
+        self.settle(seg, Spot::Instance(to));
+        Some(seg)
+    }
+}
+
+/// A donation's outcome: the count, or the bounce that aborted it.
+fn donation_result(moved: u64, bounced: Option<u64>, scope: &str) -> Result<u64, String> {
+    match bounced {
+        None => Ok(moved),
+        Some(seg) => Err(format!(
+            "segment {seg} failed the quiesce check mid-donation \
+             ({moved} segment(s) already moved{scope})"
+        )),
     }
 }
 
@@ -328,7 +379,7 @@ mod tests {
     use crate::config::GallatinConfig;
     use crate::pool::GallatinPool;
     use crate::table::TREE_FREE;
-    use gpu_sim::{DeviceAllocator, WarpCtx};
+    use gpu_sim::{DeviceAllocator, DevicePtr, WarpCtx};
     use std::sync::atomic::Ordering;
 
     fn pool(n: usize) -> GallatinPool {
@@ -343,7 +394,7 @@ mod tests {
     fn donation_rehomes_free_segments_and_routing_follows() {
         let p = pool(2);
         assert_eq!(p.donate(0, 1, 4), Ok(4));
-        assert_eq!(p.donated_segments(), 4);
+        assert_eq!(p.pool_stats().donated_segments, 4);
         let s = p.pool_stats();
         assert_eq!(s.instances[0].owned_segments, 12);
         assert_eq!(s.instances[1].owned_segments, 20);
@@ -372,7 +423,7 @@ mod tests {
         assert!(err.contains("quiesce"), "unexpected error: {err}");
         // The segment bounced back to the donor: nothing crossed over.
         assert_eq!(p.pool_stats().instances[0].owned_segments, 16);
-        assert_eq!(p.donated_segments(), 0);
+        assert_eq!(p.pool_stats().donated_segments, 0);
         // Undoing the corruption lets the full donation through.
         p.instance(0).table().seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
         assert_eq!(p.donate(0, 1, 16), Ok(16));
@@ -401,7 +452,7 @@ mod tests {
     fn shrink_returns_segments_and_malloc_adopts_them_back() {
         let p = pool(2);
         assert_eq!(p.shrink_instance(1, 10), 10);
-        assert_eq!(p.returned_segments(), 10);
+        assert_eq!(p.pool_stats().returned_segments, 10);
         assert_eq!(p.pool_free_segments(), 10);
         p.check_invariants().expect("clean after shrink");
         // Instance 0's home pressure adopts from the pool free list
@@ -411,13 +462,31 @@ mod tests {
         let held: Vec<_> = (0..20).map(|_| p.malloc(&l0.lane(0), seg)).collect();
         assert!(held.iter().all(|q| !q.is_null()));
         assert_eq!(p.spill_count(0), 0, "adoption absorbs the pressure, no spills");
-        assert_eq!(p.adopted_segments(), 4);
+        assert_eq!(p.pool_stats().adopted_segments, 4);
         assert_eq!(p.pool_free_segments(), 6);
         for q in held {
             p.free(&l0.lane(0), q);
         }
         assert_eq!(p.stats().reserved_bytes, 0);
         p.check_invariants().expect("clean after adopted traffic");
+    }
+
+    #[test]
+    fn collective_malloc_adopts_parked_headroom_before_failing() {
+        // Everything parked: only the walk's adopt step can serve. A
+        // collective malloc must take it just like a scalar one.
+        let p = pool(2);
+        p.trim();
+        assert_eq!(p.shrink_to(0), 32);
+        let w = warp_on(0, 32);
+        let mut out = vec![DevicePtr::NULL; 32];
+        p.warp_malloc(&w, &[Some(64); 32], &mut out);
+        assert!(out.iter().all(|q| !q.is_null()), "every lane served from adopted headroom");
+        assert!(p.pool_stats().adopted_segments > 0);
+        assert_eq!(p.spill_count(0), 0, "adoption absorbs the pressure, no spills");
+        p.warp_free(&w, &out);
+        assert_eq!(p.stats().reserved_bytes, 0);
+        p.check_invariants().expect("clean after adopted collective traffic");
     }
 
     #[test]
@@ -444,7 +513,6 @@ mod tests {
         p.check_invariants().expect("clean after frees");
         let s = p.pool_stats();
         assert_eq!(s.returned_segments, 22);
-        assert_eq!(s.pool_free_bytes(seg_bytes), 22 * seg_bytes);
     }
 
     #[test]

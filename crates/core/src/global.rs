@@ -75,10 +75,13 @@ fn set_global(backend: GlobalBackend) -> Result<(), AlreadyInitialized> {
         .map_err(|_| AlreadyInitialized { existing: global_allocator().name().to_string() })
 }
 
-/// Round a byte budget down to whole default segments (16 MB), with a
+/// The default configuration for one of `instances` equal shares of
+/// `num_bytes`, rounded down to whole default segments (16 MB) with a
 /// one-segment floor.
-fn whole_segments(num_bytes: u64) -> u64 {
-    (num_bytes / (16 << 20) * (16 << 20)).max(16 << 20)
+fn share(num_bytes: u64, instances: u64) -> GallatinConfig {
+    assert!(instances > 0, "a pool needs at least one instance");
+    let heap_bytes = (num_bytes / instances / (16 << 20) * (16 << 20)).max(16 << 20);
+    GallatinConfig { heap_bytes, ..GallatinConfig::default() }
 }
 
 /// Initialize the global allocator with `num_bytes` of device memory
@@ -86,10 +89,7 @@ fn whole_segments(num_bytes: u64) -> u64 {
 /// configuration. Errors with [`AlreadyInitialized`] if the global was
 /// already set, as the CUDA original's device pointer is set once.
 pub fn init_global_allocator(num_bytes: u64) -> Result<(), AlreadyInitialized> {
-    init_global_allocator_with(GallatinConfig {
-        heap_bytes: whole_segments(num_bytes),
-        ..GallatinConfig::default()
-    })
+    init_global_allocator_with(share(num_bytes, 1))
 }
 
 /// Initialize the global allocator with an explicit configuration.
@@ -103,12 +103,7 @@ pub fn init_global_allocator_with(cfg: GallatinConfig) -> Result<(), AlreadyInit
 /// segment each). Placement, spilling, and free routing follow the pool
 /// semantics (see [`GallatinPool`]).
 pub fn init_global_pool(n: usize, num_bytes: u64) -> Result<(), AlreadyInitialized> {
-    assert!(n > 0, "a pool needs at least one instance");
-    let cfg = GallatinConfig {
-        heap_bytes: whole_segments(num_bytes / n as u64),
-        ..GallatinConfig::default()
-    };
-    init_global_pool_with(n, cfg)
+    init_global_pool_with(n, share(num_bytes, n as u64))
 }
 
 /// Initialize the global allocator as a [`GallatinPool`] with an explicit
@@ -121,20 +116,15 @@ pub fn init_global_pool_with(n: usize, cfg: GallatinConfig) -> Result<(), Alread
 /// `devices` devices of `width` instances each, sharing `num_bytes` in
 /// total: each instance gets `num_bytes / (devices * width)`, rounded
 /// down to whole default segments (minimum one segment each). Placement
-/// is SM-affine at both levels, frees route by segment home, and only a
-/// whole-device denial crosses the interconnect (see [`DevicePool`]).
+/// is SM-affine to a device and an instance on it, frees route by
+/// segment owner, and only a whole-device denial crosses the
+/// interconnect (see [`DevicePool`]).
 pub fn init_global_device_pool(
     devices: u32,
     width: usize,
     num_bytes: u64,
 ) -> Result<(), AlreadyInitialized> {
-    assert!(devices > 0, "a topology needs at least one device");
-    assert!(width > 0, "a device pool needs at least one instance");
-    let cfg = GallatinConfig {
-        heap_bytes: whole_segments(num_bytes / (devices as u64 * width as u64)),
-        ..GallatinConfig::default()
-    };
-    init_global_device_pool_with(devices, width, cfg)
+    init_global_device_pool_with(devices, width, share(num_bytes, devices as u64 * width as u64))
 }
 
 /// Initialize the global allocator as a [`DevicePool`] with an explicit
@@ -152,8 +142,8 @@ pub fn global_allocator_initialized() -> bool {
     GLOBAL.get().is_some()
 }
 
-/// The global instance — a [`Gallatin`] or a [`GallatinPool`], behind the
-/// common [`DeviceAllocator`] interface.
+/// The global instance — a [`Gallatin`], a [`GallatinPool`], or a
+/// [`DevicePool`], behind the common [`DeviceAllocator`] interface.
 ///
 /// # Panics
 /// Panics if the global allocator has not been initialized.

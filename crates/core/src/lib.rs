@@ -52,7 +52,7 @@ mod tiers;
 pub use buffer::BlockBuffer;
 pub use compact::Relocation;
 pub use config::{GallatinConfig, Geometry};
-pub use device_pool::{DevicePool, TopoStats};
+pub use device_pool::{DevicePool, DeviceView, TopoStats};
 pub use gallatin::Gallatin;
 pub use index::{SearchStructure, SegmentIndex};
 pub use pool::{GallatinPool, InstanceStats, PoolStats};

@@ -1,24 +1,30 @@
-//! A sharded pool of Gallatin instances over one shared arena.
+//! The pool: `devices × width` Gallatin instances over one arena.
 //!
 //! The paper's allocator is a single shared heap; under extreme SM
 //! counts even its coalesced atomics contend on the shared trees. A
-//! [`GallatinPool`] shards the heap into `n` full [`Gallatin`]
-//! instances. Every instance sees the *whole* arena and the *shared*
-//! [`MemoryTable`] (one metadata row per segment, pool-wide), but its
-//! segment tree starts with only its own shard of segments — so
+//! [`GallatinPool`] shards the heap into full [`Gallatin`] instances,
+//! laid out device-major over a [`Topology`] of device arenas — one
+//! device for [`GallatinPool::new`], several for a
+//! [`crate::DevicePool`]. Every instance sees the *whole* arena and the
+//! *shared* [`MemoryTable`] (one metadata row per segment, pool-wide),
+//! but its segment tree starts with only its own shard of segments — so
 //! steady-state traffic from different SM groups touches different
 //! trees, rings, and claim words, while a segment can be *re-homed*
 //! without copying anything: ownership is just tree membership plus one
 //! row in the pool's routing table (see `crate::elastic`).
 //!
-//! * **Placement** is SM-affine: a warp on SM `s` allocates from its
-//!   *home* instance `s % n`.
-//! * **Overflow spills**: when the home instance is exhausted, the
-//!   request walks the siblings (`home+1, home+2, …` mod `n`) and the
-//!   spill is charged to the home instance — *only* when a sibling
-//!   actually serves it; a walk that every sibling denies is not a
-//!   spill. If the pool-level free list has headroom, the home adopts a
-//!   returned segment and retries before spilling at all.
+//! * **Placement** is SM-affine: a warp on SM `s` allocates on device
+//!   `s % devices` ([`Topology::affinity_device`]) from that device's
+//!   instance `s % width`.
+//! * **One spill walk** serves scalar and collective mallocs alike. On
+//!   each device it tries the home instance; then, if the device has
+//!   parked headroom, adopts a parked segment and retries; then walks
+//!   the sibling instances (`home+1, home+2, …` mod `width`). A request
+//!   the whole home device denies crosses to the peer devices in order,
+//!   each walked the same way. A sibling placement is charged to the
+//!   serving device's home instance, a peer placement to the home
+//!   device — *only* when somebody actually serves the request; a walk
+//!   that everyone denies is a failed malloc, not a spill.
 //! * **Frees route by segment ownership**: pointers are global offsets
 //!   into the one arena, so `ptr / segment_bytes` names the segment and
 //!   [`GallatinPool::seg_owner`] names the owning instance — any lane
@@ -27,39 +33,72 @@
 //!
 //! Requests larger than one instance's nominal shard (`stride`) are
 //! denied up front — before touching any instance's trees — counting
-//! each denial in [`GallatinPool::oversize_denials`].
+//! each denial once, on the home device
+//! ([`PoolStats::oversize_denials`]).
 //!
-//! Trace events are stamped with the owning instance
-//! ([`trace::with_instance`]), so one sink captures a pool run and the
-//! lifecycle [`trace::Ledger`] pairs mallocs with frees per
-//! `(instance, ptr)` — cross-instance routing bugs surface as
-//! unmatched frees instead of silent corruption. Donations only move
-//! *quiescent free* segments, so no live pointer ever changes owner
-//! mid-lifecycle and the pairing survives elasticity.
+//! Every served malloc and every free is classified local/peer against
+//! the issuing SM's affinity device ([`Topology::classify_access`]) —
+//! host-side accounting only, never a scheduler preemption point, so
+//! traffic counting never perturbs a deterministic replay.
+//!
+//! Trace events are stamped with the owning `(device, instance)`
+//! ([`trace::with_device`], [`trace::with_instance`]), so one sink
+//! captures a pool run and the lifecycle [`trace::Ledger`] pairs
+//! mallocs with frees per owner — routing bugs surface as unmatched
+//! frees instead of silent corruption. Donations only move *quiescent
+//! free* segments, so no live pointer ever changes owner mid-lifecycle
+//! and the pairing survives elasticity.
 
 use crate::config::GallatinConfig;
 use crate::gallatin::{ledger_errors, Gallatin};
 use crate::index::SegmentIndex;
 use crate::table::MemoryTable;
 use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, WarpCtx,
-    WARP_SIZE,
+    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, Topology,
+    WarpCtx, WARP_SIZE,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// `seg_owner` value for a segment parked on the pool-level free list
+/// `seg_owner` value for a segment parked on a device's free list
 /// (owned by no instance).
 pub(crate) const UNOWNED: u32 = u32::MAX;
 
-/// `n` Gallatin instances over one arena and one shared memory table,
-/// with SM-affine placement, ownership-routed frees, and elastic
-/// segment migration (`crate::elastic`).
+/// One device's share of the pool: its parked free list and counters.
+pub(crate) struct DeviceState {
+    /// Whole segments returned by shrink, claimable by this device's
+    /// instances (`grow`, or the malloc walk's adopt step).
+    pub(crate) parked: SegmentIndex,
+    /// Approximate occupancy of `parked` (cheap gate for the malloc hot
+    /// path; exact only at quiescent points).
+    pub(crate) parked_len: AtomicU64,
+    /// Requests homed here larger than the stride, denied before
+    /// touching any instance (no instance could have served them).
+    pub(crate) oversize_denials: AtomicU64,
+    /// Mallocs homed here that only a peer device could serve.
+    cross_spills: AtomicU64,
+    /// Segments donated instance-to-instance out of this device.
+    pub(crate) donations: AtomicU64,
+    /// Segments parked here by shrink.
+    pub(crate) returned: AtomicU64,
+    /// Segments adopted out of `parked`.
+    pub(crate) adopted: AtomicU64,
+}
+
+/// `devices × width` Gallatin instances over one arena and one shared
+/// memory table, with SM-affine placement, one spill walk,
+/// ownership-routed frees, and elastic segment migration
+/// (`crate::elastic`).
 pub struct GallatinPool {
-    /// The parent arena (`n * stride` bytes); [`DeviceAllocator::memory`]
-    /// returns this so pool pointers index it directly.
-    mem: DeviceMemory,
+    /// The device arenas; [`DeviceAllocator::memory`] returns the whole
+    /// reservation so pool pointers index it directly.
+    topo: Topology,
+    /// Device-major: global instance `g` is instance `g % width` of
+    /// device `g / width`.
     instances: Vec<Gallatin>,
+    /// Instances per device.
+    width: usize,
     /// The shared per-segment metadata table (every instance holds the
     /// same `Arc`); the elastic quiesce checks read it directly.
     pub(crate) table: Arc<MemoryTable>,
@@ -68,46 +107,22 @@ pub struct GallatinPool {
     stride: u64,
     /// Bytes per segment (global-offset → segment routing).
     pub(crate) segment_bytes: u64,
-    /// Total segments in the *universe* this pool's table spans. Equal
-    /// to the pool's own segments for a standalone pool; larger when the
-    /// pool is one device of a `crate::device_pool::DevicePool` (whose
-    /// table covers every device).
-    pub(crate) num_segments: u64,
-    /// First segment of this pool's initial span within the universe
-    /// (0 for a standalone pool).
-    first_seg: u64,
     /// Segments per instance at construction (reset restores this).
     segs_per_instance: u64,
-    /// Segments this pool is *responsible* for: owned by an instance or
-    /// parked on its free list. Initially `segs_per_instance × n`; moves
-    /// only when a segment is re-homed across pools (device-level
-    /// donation). The ownership audit balances against this so a
-    /// responsibility leak (a segment no pool accounts for) stays loud
-    /// even though foreign segments are legitimately unowned.
-    pub(crate) resp_len: AtomicU64,
-    /// The routing table: owning instance per segment, or [`UNOWNED`]
-    /// for segments parked on the pool free list. Donation and shrink
-    /// update this *before* the new owner can touch the segment.
+    /// The routing table: owning global instance per segment, or
+    /// [`UNOWNED`] for segments parked on a device free list. Donation
+    /// and shrink update this *before* the new owner can touch the
+    /// segment.
     pub(crate) seg_owner: Vec<AtomicU32>,
-    /// Pool-level free list: whole segments returned by `shrink`,
-    /// claimable by any instance (`grow`, or the malloc path's
-    /// adopt-before-spill).
-    pub(crate) pool_free: SegmentIndex,
-    /// Approximate occupancy of `pool_free` (cheap gate for the malloc
-    /// hot path; exact only at quiescent points).
-    pub(crate) pool_free_len: AtomicU64,
-    /// Allocations instance `i` could not serve locally and a sibling
-    /// absorbed (charged to the *home*, only on successful placement).
+    /// Per-device parked lists and counters.
+    pub(crate) devices: Vec<DeviceState>,
+    /// Allocations a sibling instance absorbed, charged to the serving
+    /// device's home instance (only on successful placement).
     spills: Vec<AtomicU64>,
-    /// Requests larger than `stride`, denied before touching any
-    /// instance (no sibling could have served them either).
-    oversize_denials: AtomicU64,
-    /// Segments re-homed instance-to-instance (elastic donation).
-    pub(crate) donations: AtomicU64,
-    /// Segments returned to the pool free list by shrink.
-    pub(crate) returned: AtomicU64,
-    /// Segments adopted out of the pool free list by grow.
-    pub(crate) adopted: AtomicU64,
+    /// Segments re-homed device-to-device (`donate_across`).
+    pub(crate) cross_donations: AtomicU64,
+    /// Local/peer traffic counters (see [`Topology::classify_access`]).
+    pub(crate) traffic: Metrics,
 }
 
 /// Point-in-time occupancy snapshot of one pool instance, as reported
@@ -132,8 +147,8 @@ pub struct InstanceStats {
 /// to keep admitting traffic: per-instance headroom (a hot instance
 /// near capacity predicts spills), the spill and oversize-denial
 /// counters (already-visible pressure), the elasticity counters
-/// (donated / returned / adopted segments and the pool-level free
-/// list), and the aggregate reservation.
+/// (donated / returned / adopted segments and the parked free lists),
+/// and the aggregate reservation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total bytes across all partitions.
@@ -146,12 +161,12 @@ pub struct PoolStats {
     pub oversize_denials: u64,
     /// Segments re-homed instance-to-instance (elastic donation).
     pub donated_segments: u64,
-    /// Segments returned to the pool-level free list (shrink).
+    /// Segments returned to a parked free list (shrink).
     pub returned_segments: u64,
-    /// Segments adopted out of the pool-level free list (grow /
+    /// Segments adopted out of a parked free list (grow /
     /// adopt-before-spill).
     pub adopted_segments: u64,
-    /// Segments currently parked on the pool-level free list.
+    /// Segments currently parked.
     pub pool_free_segments: u64,
     /// One entry per instance, in instance order.
     pub instances: Vec<InstanceStats>,
@@ -164,99 +179,87 @@ impl PoolStats {
     pub fn headroom_bytes(&self) -> u64 {
         self.heap_bytes - self.reserved_bytes.min(self.heap_bytes)
     }
-
-    /// Bytes parked on the pool-level free list — memory the pool has
-    /// withdrawn from every instance (e.g. [`GallatinPool::shrink_to`])
-    /// and could hand back to the host or to a future hot instance.
-    pub fn pool_free_bytes(&self, segment_bytes: u64) -> u64 {
-        self.pool_free_segments * segment_bytes
-    }
 }
 
 impl GallatinPool {
-    /// Build `n` instances, each configured by `cfg` (so `cfg.heap_bytes`
-    /// is the *per-instance* shard; the pool manages `n` times that).
+    /// Build `n` instances on one device, each configured by `cfg` (so
+    /// `cfg.heap_bytes` is the *per-instance* shard; the pool manages
+    /// `n` times that).
     pub fn new(n: usize, cfg: GallatinConfig) -> Self {
-        assert!(n > 0, "a pool needs at least one instance");
-        let stride = cfg.geometry().heap_bytes;
-        let total = stride.checked_mul(n as u64).expect("pool size overflow");
-        // One full-universe geometry: every instance sees every segment,
-        // ownership is expressed through tree membership + `seg_owner`.
-        let full = GallatinConfig { heap_bytes: total, ..cfg };
-        let geo = full.geometry();
-        let mem = DeviceMemory::new(total as usize);
-        let table = Arc::new(MemoryTable::new(geo));
-        Self::with_shared_parts(n, full, mem, table, 0, geo.num_segments)
+        Self::with_devices(1, n, cfg)
     }
 
-    /// Build `n` instances over an *existing* arena view and table,
-    /// owning only segments `[first_seg, first_seg+num_segs)` of the
-    /// table's universe — one device's pool within a
-    /// `crate::device_pool::DevicePool`. `full` describes the whole
-    /// universe (`full.heap_bytes` spans every device); pointers stay
-    /// global offsets into `mem`. A standalone pool is the degenerate
-    /// case: `first_seg == 0`, `num_segs` = the whole universe.
-    pub(crate) fn with_shared_parts(
-        n: usize,
-        full: GallatinConfig,
-        mem: DeviceMemory,
-        table: Arc<MemoryTable>,
-        first_seg: u64,
-        num_segs: u64,
-    ) -> Self {
-        assert!(n > 0, "a pool needs at least one instance");
+    /// Build `devices × width` instances over a topology of `devices`
+    /// arenas, each instance configured by `cfg`. Instance `g` starts
+    /// with segments `[g·per, (g+1)·per)` of the shared table.
+    pub(crate) fn with_devices(devices: u32, width: usize, cfg: GallatinConfig) -> Self {
+        assert!(width > 0, "a pool needs at least one instance");
+        let n = devices as usize * width;
+        let device_bytes =
+            cfg.geometry().heap_bytes.checked_mul(width as u64).expect("pool size overflow");
+        let topo = Topology::new(devices, device_bytes);
+        // One full-universe geometry: every instance sees every segment,
+        // ownership is expressed through tree membership + `seg_owner`.
+        let full = GallatinConfig { heap_bytes: topo.memory().len() as u64, ..cfg };
         let geo = full.geometry();
-        assert!(first_seg + num_segs <= geo.num_segments, "pool span exceeds the universe");
+        let table = Arc::new(MemoryTable::new(geo));
+        let per = geo.num_segments / n as u64;
         assert!(
-            num_segs.is_multiple_of(n as u64) && num_segs > 0,
-            "{num_segs} segments do not shard evenly over {n} instances"
+            per > 0 && per * n as u64 == geo.num_segments,
+            "{} segments do not shard evenly over {n} instances",
+            geo.num_segments
         );
-        let per = num_segs / n as u64;
-        let stride = per * geo.segment_bytes;
         let instances = (0..n as u64)
-            .map(|i| {
-                Gallatin::with_shared_table(
-                    full,
-                    mem.clone_view(),
-                    Arc::clone(&table),
-                    first_seg + i * per,
-                    per,
-                )
+            .map(|g| {
+                let mem = topo.memory().clone_view();
+                Gallatin::with_shared_table(full, mem, Arc::clone(&table), g * per, per)
             })
             .collect();
-        let in_span = |s: u64| s >= first_seg && s < first_seg + num_segs;
+        let zero = || AtomicU64::new(0);
         GallatinPool {
-            mem,
             instances,
+            width,
             table,
-            stride,
+            stride: per * geo.segment_bytes,
             segment_bytes: geo.segment_bytes,
-            num_segments: geo.num_segments,
-            first_seg,
             segs_per_instance: per,
-            resp_len: AtomicU64::new(num_segs),
-            seg_owner: (0..geo.num_segments)
-                .map(|s| {
-                    AtomicU32::new(if in_span(s) {
-                        ((s - first_seg) / per) as u32
-                    } else {
-                        UNOWNED
-                    })
+            seg_owner: (0..geo.num_segments).map(|s| AtomicU32::new((s / per) as u32)).collect(),
+            devices: (0..devices)
+                .map(|_| DeviceState {
+                    parked: SegmentIndex::new(full.index_kind(), geo.num_segments),
+                    parked_len: zero(),
+                    oversize_denials: zero(),
+                    cross_spills: zero(),
+                    donations: zero(),
+                    returned: zero(),
+                    adopted: zero(),
                 })
                 .collect(),
-            pool_free: SegmentIndex::new(full.index_kind(), geo.num_segments),
-            pool_free_len: AtomicU64::new(0),
-            spills: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            oversize_denials: AtomicU64::new(0),
-            donations: AtomicU64::new(0),
-            returned: AtomicU64::new(0),
-            adopted: AtomicU64::new(0),
+            spills: (0..n).map(|_| zero()).collect(),
+            cross_donations: zero(),
+            traffic: Metrics::new(),
+            topo,
         }
     }
 
-    /// Number of instances in the pool.
+    /// Number of instances in the pool (across every device).
     pub fn num_instances(&self) -> usize {
         self.instances.len()
+    }
+
+    /// Number of devices.
+    pub fn devices(&self) -> u32 {
+        self.devices.len() as u32
+    }
+
+    /// Instances per device.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The underlying topology (device stride, affinity).
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// The per-instance nominal heap size in bytes (the initial shard
@@ -265,14 +268,16 @@ impl GallatinPool {
         self.stride
     }
 
-    /// Instance `i`, for per-instance metrics and diagnostics.
-    pub fn instance(&self, i: usize) -> &Gallatin {
-        &self.instances[i]
+    /// Instance `g` (device-major), for per-instance metrics and
+    /// diagnostics.
+    pub fn instance(&self, g: usize) -> &Gallatin {
+        &self.instances[g]
     }
 
-    /// Allocations whose home was instance `i` but that a sibling served.
-    pub fn spill_count(&self, i: usize) -> u64 {
-        self.spills[i].load(Ordering::Relaxed)
+    /// Allocations whose home was instance `g` but that a sibling
+    /// served.
+    pub fn spill_count(&self, g: usize) -> u64 {
+        self.spills[g].load(Ordering::Relaxed)
     }
 
     /// Total spills across all home instances.
@@ -280,33 +285,24 @@ impl GallatinPool {
         self.spills.iter().map(|s| s.load(Ordering::Relaxed)).sum()
     }
 
-    /// Requests denied up front because they exceeded the stride.
-    pub fn oversize_denials(&self) -> u64 {
-        self.oversize_denials.load(Ordering::Relaxed)
+    /// Allocations whose home device `d` denied wholesale and a peer
+    /// device absorbed.
+    pub fn cross_spill_count(&self, d: usize) -> u64 {
+        self.devices[d].cross_spills.load(Ordering::Relaxed)
     }
 
-    /// Segments re-homed instance-to-instance so far (elastic donation).
-    pub fn donated_segments(&self) -> u64 {
-        self.donations.load(Ordering::Relaxed)
+    /// Total cross-device spills across all home devices.
+    pub fn total_cross_spills(&self) -> u64 {
+        self.devices.iter().map(|d| d.cross_spills.load(Ordering::Relaxed)).sum()
     }
 
-    /// Segments returned to the pool-level free list so far.
-    pub fn returned_segments(&self) -> u64 {
-        self.returned.load(Ordering::Relaxed)
-    }
-
-    /// Segments adopted out of the pool-level free list so far.
-    pub fn adopted_segments(&self) -> u64 {
-        self.adopted.load(Ordering::Relaxed)
-    }
-
-    /// Segments currently parked on the pool-level free list.
+    /// Segments currently parked.
     pub fn pool_free_segments(&self) -> u64 {
-        self.pool_free.count()
+        self.devices.iter().map(|d| d.parked.count()).sum()
     }
 
     /// The instance that currently owns `seg`, or `None` if the segment
-    /// is parked on the pool free list.
+    /// is parked.
     pub fn owner_of_segment(&self, seg: u64) -> Option<usize> {
         match self.seg_owner[seg as usize].load(Ordering::Acquire) {
             UNOWNED => None,
@@ -318,105 +314,105 @@ impl GallatinPool {
     /// [`PoolStats`]). Relaxed reads: the snapshot is advisory, exact
     /// only when the pool is quiescent.
     pub fn pool_stats(&self) -> PoolStats {
+        self.stats_over(0..self.devices.len())
+    }
+
+    /// [`PoolStats`] over the instances and counters of `devs` only.
+    pub(crate) fn stats_over(&self, devs: Range<usize>) -> PoolStats {
         let mut owned = vec![0u64; self.instances.len()];
         for o in &self.seg_owner {
-            let i = o.load(Ordering::Relaxed);
-            if i != UNOWNED {
-                owned[i as usize] += 1;
+            let g = o.load(Ordering::Relaxed);
+            if g != UNOWNED {
+                owned[g as usize] += 1;
             }
         }
-        let instances: Vec<InstanceStats> = self
-            .instances
-            .iter()
-            .enumerate()
-            .map(|(i, g)| InstanceStats {
+        let instances: Vec<InstanceStats> = (devs.start * self.width..devs.end * self.width)
+            .map(|g| InstanceStats {
                 heap_bytes: self.stride,
-                reserved_bytes: g.reserved_bytes(),
-                free_segments: g.free_segments(),
-                owned_segments: owned[i],
-                spills: self.spill_count(i),
+                reserved_bytes: self.instances[g].reserved_bytes(),
+                free_segments: self.instances[g].free_segments(),
+                owned_segments: owned[g],
+                spills: self.spill_count(g),
             })
             .collect();
+        let devs = &self.devices[devs];
+        let sum = |f: fn(&DeviceState) -> &AtomicU64| -> u64 {
+            devs.iter().map(|d| f(d).load(Ordering::Relaxed)).sum()
+        };
         PoolStats {
-            heap_bytes: self.heap_bytes(),
+            heap_bytes: self.stride * instances.len() as u64,
             reserved_bytes: instances.iter().map(|s| s.reserved_bytes).sum(),
-            spills: self.total_spills(),
-            oversize_denials: self.oversize_denials(),
-            donated_segments: self.donated_segments(),
-            returned_segments: self.returned_segments(),
-            adopted_segments: self.adopted_segments(),
-            pool_free_segments: self.pool_free_segments(),
+            spills: instances.iter().map(|s| s.spills).sum(),
+            oversize_denials: sum(|d| &d.oversize_denials),
+            donated_segments: sum(|d| &d.donations),
+            returned_segments: sum(|d| &d.returned),
+            adopted_segments: sum(|d| &d.adopted),
+            pool_free_segments: devs.iter().map(|d| d.parked.count()).sum(),
             instances,
         }
     }
 
-    /// The home instance for a warp running on `sm_id`.
-    #[inline]
-    pub(crate) fn home(&self, sm_id: u32) -> usize {
-        sm_id as usize % self.instances.len()
+    /// Run `f` on global instance `g` under its `(device, instance)`
+    /// trace stamp.
+    pub(crate) fn on_instance<R>(&self, g: usize, f: impl FnOnce(&Gallatin) -> R) -> R {
+        let (d, i) = (g / self.width, g % self.width);
+        trace::with_device(d as u32, || trace::with_instance(i as u32, || f(&self.instances[g])))
     }
 
-    /// Owning instance of a pool pointer (global offset), via the
+    /// Owning global instance of a pool pointer (global offset), via the
     /// segment routing table.
     #[inline]
     pub(crate) fn owner_of(&self, ptr: DevicePtr) -> usize {
         let seg = ptr.0 / self.segment_bytes;
-        assert!(seg < self.num_segments, "free of foreign pointer {}", ptr.0);
-        let o = self.seg_owner[seg as usize].load(Ordering::Acquire);
+        let Some(o) = self.seg_owner.get(seg as usize) else {
+            panic!("free of foreign pointer {}", ptr.0)
+        };
+        let o = o.load(Ordering::Acquire);
         assert!(o != UNOWNED, "free of foreign pointer {} (segment {seg} is unowned)", ptr.0);
         o as usize
+    }
+
+    /// The one placement walk, shared by scalar and collective mallocs:
+    /// home device first, then the peers in order; on each device the
+    /// home instance, then adopt-before-spill when the device has parked
+    /// headroom, then the siblings. `offer` tries the still-unserved
+    /// lanes on one instance and returns how many it served plus the
+    /// bytes still unserved (`None` once every lane is served, which
+    /// ends the walk).
+    fn place(&self, sm: u32, mut offer: impl FnMut(&Gallatin) -> (u64, Option<u64>)) {
+        let (nd, w) = (self.devices.len(), self.width);
+        let (hd, hi) = (sm as usize % nd, sm as usize % w);
+        for k in 0..nd {
+            let d = (hd + k) % nd;
+            for j in 0..w {
+                let g = d * w + (hi + j) % w;
+                let (mut served, mut left) = self.on_instance(g, &mut offer);
+                if let Some(bytes) = left {
+                    if j == 0
+                        && self.devices[d].parked_len.load(Ordering::Relaxed) > 0
+                        && self.grow(g, bytes.div_ceil(self.segment_bytes).max(1)) > 0
+                    {
+                        let (more, rest) = self.on_instance(g, &mut offer);
+                        (served, left) = (served + more, rest);
+                    }
+                }
+                if served > 0 && j > 0 {
+                    self.spills[d * w + hi].fetch_add(served, Ordering::Relaxed);
+                }
+                if served > 0 && k > 0 {
+                    self.devices[hd].cross_spills.fetch_add(served, Ordering::Relaxed);
+                }
+                if left.is_none() {
+                    return;
+                }
+            }
+        }
     }
 
     /// Release every instance's block-buffer wavefront (see
     /// [`Gallatin::trim`]); returns the total blocks reclaimed.
     pub fn trim(&self) -> u64 {
         self.instances.iter().map(|g| g.trim()).sum()
-    }
-
-    /// The pool-local share of a reset: every instance's local reset,
-    /// the routing table and free list back to the initial span, and the
-    /// counters cleared. Does NOT touch the memory table — shared in
-    /// device-pool mode, where the owner resets it exactly once.
-    pub(crate) fn reset_local_pool(&self) {
-        for inst in &self.instances {
-            inst.reset_local();
-        }
-        let span =
-            self.first_seg..self.first_seg + self.segs_per_instance * self.instances.len() as u64;
-        for (s, o) in self.seg_owner.iter().enumerate() {
-            let s = s as u64;
-            let owner = if span.contains(&s) {
-                ((s - self.first_seg) / self.segs_per_instance) as u32
-            } else {
-                UNOWNED
-            };
-            o.store(owner, Ordering::Relaxed);
-        }
-        self.resp_len.store(span.end - span.start, Ordering::Relaxed);
-        self.pool_free.clear();
-        self.pool_free_len.store(0, Ordering::Relaxed);
-        for s in &self.spills {
-            s.store(0, Ordering::Relaxed);
-        }
-        self.oversize_denials.store(0, Ordering::Relaxed);
-        self.donations.store(0, Ordering::Relaxed);
-        self.returned.store(0, Ordering::Relaxed);
-        self.adopted.store(0, Ordering::Relaxed);
-    }
-
-    /// Structural and ownership errors of this pool alone — everything
-    /// [`DeviceAllocator::check_invariants`] checks except the trace
-    /// ledger, which a `DevicePool` runs exactly once pool-of-pools-wide.
-    pub(crate) fn local_errors(&self) -> Vec<String> {
-        let mut errors: Vec<String> = Vec::new();
-        for (i, inst) in self.instances.iter().enumerate() {
-            let mine = |s: u64| self.seg_owner[s as usize].load(Ordering::Acquire) == i as u32;
-            for e in inst.structural_errors_where(&mine) {
-                errors.push(format!("instance {i}: {e}"));
-            }
-        }
-        self.ownership_audit(&mut errors);
-        errors
     }
 }
 
@@ -426,155 +422,132 @@ impl DeviceAllocator for GallatinPool {
     }
 
     fn memory(&self) -> &DeviceMemory {
-        &self.mem
+        self.topo.memory()
     }
 
     fn malloc(&self, ctx: &LaneCtx, size: u64) -> DevicePtr {
+        let sm = ctx.sm_id();
         // Nothing larger than the stride fits in *any* instance: deny
-        // before touching a tree — the home used to run a full (and
-        // guaranteed-futile) malloc for these, paying CAS traffic for a
-        // request the pool could never serve.
+        // before touching a tree, once, on the home device.
         if size > self.stride {
-            self.oversize_denials.fetch_add(1, Ordering::Relaxed);
+            let hd = sm as usize % self.devices.len();
+            self.devices[hd].oversize_denials.fetch_add(1, Ordering::Relaxed);
             return DevicePtr::NULL;
         }
-        let n = self.instances.len();
-        let home = self.home(ctx.sm_id());
-        for k in 0..n {
-            let i = (home + k) % n;
-            let mut p = trace::with_instance(i as u32, || self.instances[i].malloc(ctx, size));
-            if p.is_null() && k == 0 && self.pool_free_len.load(Ordering::Relaxed) > 0 {
-                // Home exhausted but the pool holds returned headroom:
-                // adopt before spilling, so elasticity absorbs pressure
-                // the fixed shards used to push onto siblings.
-                let need = size.div_ceil(self.segment_bytes).max(1);
-                if self.grow(i, need) > 0 {
-                    p = trace::with_instance(i as u32, || self.instances[i].malloc(ctx, size));
-                }
+        let mut p = DevicePtr::NULL;
+        self.place(sm, |inst| {
+            p = inst.malloc(ctx, size);
+            if p.is_null() {
+                (0, Some(size))
+            } else {
+                (1, None)
             }
-            if !p.is_null() {
-                if k > 0 {
-                    self.spills[home].fetch_add(1, Ordering::Relaxed);
-                }
-                return p;
-            }
+        });
+        if !p.is_null() {
+            self.topo.classify_access(sm, p, &self.traffic);
         }
-        DevicePtr::NULL
+        p
     }
 
     fn free(&self, ctx: &LaneCtx, ptr: DevicePtr) {
-        let i = self.owner_of(ptr);
-        trace::with_instance(i as u32, || self.instances[i].free(ctx, ptr));
+        let g = self.owner_of(ptr);
+        self.topo.classify_access(ctx.sm_id(), ptr, &self.traffic);
+        self.on_instance(g, |inst| inst.free(ctx, ptr));
     }
 
-    /// Warp-collective allocation: the whole warp goes to its home
-    /// instance first (keeping the coalesced group intact — one batched
-    /// claim per class), then only the unserved lanes walk the siblings.
+    /// Warp-collective allocation: the eligible lanes take the same walk
+    /// as a scalar malloc, as one coalesced group per instance — the
+    /// whole warp at its home instance, then only the unserved lanes.
     fn warp_malloc(&self, warp: &WarpCtx, sizes: &[Option<u64>], out: &mut [DevicePtr]) {
         debug_assert_eq!(sizes.len(), warp.active as usize);
         debug_assert_eq!(out.len(), warp.active as usize);
-        let n = self.instances.len();
-        let home = self.home(warp.sm_id);
-        // Oversize lanes are denied before the home call (their request
-        // never reaches any instance — see `malloc`); the rest of the
-        // warp proceeds as one coalesced group.
-        let active = warp.active as usize;
-        let mut eligible = [None::<u64>; WARP_SIZE];
+        out.fill(DevicePtr::NULL);
+        // Oversize lanes are denied before the walk (their request never
+        // reaches any instance — see `malloc`); the rest of the warp
+        // proceeds as one coalesced group.
+        let mut rest = [None::<u64>; WARP_SIZE];
         let mut oversize = 0u64;
         for lane in warp.lanes() {
             match sizes[lane] {
                 Some(sz) if sz > self.stride => oversize += 1,
-                sz => eligible[lane] = sz,
+                sz => rest[lane] = sz,
             }
         }
+        let active = warp.active as usize;
         if oversize > 0 {
-            self.oversize_denials.fetch_add(oversize, Ordering::Relaxed);
-            if eligible[..active].iter().all(Option::is_none) {
-                // The whole warp was oversize: nothing to launch.
-                out.iter_mut().for_each(|p| *p = DevicePtr::NULL);
-                return;
+            let hd = warp.sm_id as usize % self.devices.len();
+            self.devices[hd].oversize_denials.fetch_add(oversize, Ordering::Relaxed);
+            if rest[..active].iter().all(Option::is_none) {
+                return; // the whole warp was oversize: nothing to launch
             }
         }
-        trace::with_instance(home as u32, || {
-            self.instances[home].warp_malloc(warp, &eligible[..active], out)
+        self.place(warp.sm_id, |inst| {
+            let mut sub = [DevicePtr::NULL; WARP_SIZE];
+            inst.warp_malloc(warp, &rest[..active], &mut sub[..active]);
+            let mut served = 0;
+            for lane in warp.lanes().filter(|&l| !sub[l].is_null()) {
+                (out[lane], rest[lane]) = (sub[lane], None);
+                served += 1;
+            }
+            let any_left = rest.iter().any(Option::is_some);
+            (served, any_left.then(|| rest.iter().flatten().sum()))
         });
-        if n == 1 {
-            return;
-        }
-        // Spill pass: lanes the home exhausted retry on each sibling as a
-        // (smaller) coalesced group.
-        let mut rest = [None::<u64>; WARP_SIZE];
-        let mut unserved = 0u64;
-        for lane in warp.lanes() {
-            if out[lane].is_null() {
-                if let Some(sz) = eligible[lane] {
-                    rest[lane] = Some(sz);
-                    unserved += 1;
-                }
-            }
-        }
-        if unserved == 0 {
-            return;
-        }
-        let mut sub = [DevicePtr::NULL; WARP_SIZE];
-        for k in 1..n {
-            let i = (home + k) % n;
-            trace::with_instance(i as u32, || {
-                self.instances[i].warp_malloc(warp, &rest[..active], &mut sub[..active])
-            });
-            let mut served = 0u64;
-            for lane in warp.lanes() {
-                if !sub[lane].is_null() {
-                    out[lane] = sub[lane];
-                    sub[lane] = DevicePtr::NULL;
-                    rest[lane] = None;
-                    served += 1;
-                }
-            }
-            if served > 0 {
-                // Charged only here — on actual sibling placement; a walk
-                // every sibling denies never touches the counter.
-                self.spills[home].fetch_add(served, Ordering::Relaxed);
-                unserved -= served;
-            }
-            if unserved == 0 {
-                break;
-            }
+        for &p in out.iter().filter(|p| !p.is_null()) {
+            self.topo.classify_access(warp.sm_id, p, &self.traffic);
         }
     }
 
-    /// Warp-collective free with per-instance regrouping: the warp's
+    /// Warp-collective free with per-owner regrouping: the warp's
     /// pointers are split by owning instance (segment routing table) and
-    /// each instance receives one lane-aligned collective free, so the
-    /// per-block `fetch_add` coalescing inside each instance survives the
-    /// sharding.
+    /// each owner receives one lane-aligned collective free, in instance
+    /// order, so the per-block `fetch_add` coalescing inside each
+    /// instance survives the sharding.
     fn warp_free(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) {
         debug_assert_eq!(ptrs.len(), warp.active as usize);
         let active = warp.active as usize;
-        for (i, inst) in self.instances.iter().enumerate() {
+        let mut owner = [UNOWNED; WARP_SIZE];
+        for lane in warp.lanes() {
+            if !ptrs[lane].is_null() {
+                owner[lane] = self.owner_of(ptrs[lane]) as u32;
+                self.topo.classify_access(warp.sm_id, ptrs[lane], &self.traffic);
+            }
+        }
+        while let Some(g) = owner[..active].iter().copied().filter(|&o| o != UNOWNED).min() {
             let mut local = [DevicePtr::NULL; WARP_SIZE];
-            let mut any = false;
             for lane in warp.lanes() {
-                let p = ptrs[lane];
-                if p.is_null() {
-                    continue;
-                }
-                if self.owner_of(p) == i {
-                    local[lane] = p;
-                    any = true;
+                if owner[lane] == g {
+                    local[lane] = ptrs[lane];
+                    owner[lane] = UNOWNED;
                 }
             }
-            if any {
-                trace::with_instance(i as u32, || inst.warp_free(warp, &local[..active]));
-            }
+            self.on_instance(g as usize, |inst| inst.warp_free(warp, &local[..active]));
         }
     }
 
     fn reset(&self) {
-        self.reset_local_pool();
-        // The table is shared across instances: reset it once, not per
-        // instance. (A DevicePool shares it across *pools* too and calls
-        // `reset_local_pool` per device plus one table reset of its own.)
+        for inst in &self.instances {
+            inst.reset_local();
+        }
+        for (s, o) in self.seg_owner.iter().enumerate() {
+            o.store((s as u64 / self.segs_per_instance) as u32, Ordering::Relaxed);
+        }
+        for dev in &self.devices {
+            dev.parked.clear();
+            for c in [
+                &dev.parked_len,
+                &dev.oversize_denials,
+                &dev.cross_spills,
+                &dev.donations,
+                &dev.returned,
+                &dev.adopted,
+            ] {
+                c.store(0, Ordering::Relaxed);
+            }
+        }
+        self.spills.iter().for_each(|s| s.store(0, Ordering::Relaxed));
+        self.cross_donations.store(0, Ordering::Relaxed);
+        self.traffic.reset();
+        // Shared by every instance: reset once, not per instance.
         self.table.reset();
     }
 
@@ -598,14 +571,33 @@ impl DeviceAllocator for GallatinPool {
         None
     }
 
+    fn device_count(&self) -> u32 {
+        self.devices()
+    }
+
+    fn device_of(&self, ptr: DevicePtr) -> u32 {
+        self.topo.device_of(ptr)
+    }
+
+    fn affinity_device(&self, sm: u32) -> u32 {
+        self.topo.affinity_device(sm)
+    }
+
     /// Verify every instance's structural invariants over exactly the
     /// segments it currently owns (each error prefixed with the owning
-    /// instance), the pool-level ownership audit (routing table vs free
-    /// list vs quiescence), plus one pool-wide lifecycle-ledger pass —
-    /// the ledger pairs per `(instance, ptr)`, so a free routed to the
-    /// wrong instance shows up as an unmatched free *and* a leak.
+    /// `(device, instance)`), the ownership audit (routing table vs
+    /// parked lists vs quiescence), plus one pool-wide lifecycle-ledger
+    /// pass — the ledger pairs per owner, so a free routed to the wrong
+    /// instance shows up as an unmatched free *and* a leak.
     fn check_invariants(&self) -> Result<(), String> {
-        let mut errors = self.local_errors();
+        let mut errors: Vec<String> = Vec::new();
+        for (g, inst) in self.instances.iter().enumerate() {
+            let mine = |s: u64| self.seg_owner[s as usize].load(Ordering::Acquire) == g as u32;
+            for e in inst.structural_errors_where(&mine) {
+                errors.push(format!("device {}: instance {}: {e}", g / self.width, g % self.width));
+            }
+        }
+        self.ownership_audit(&mut errors);
         ledger_errors(&mut errors);
         if errors.is_empty() {
             Ok(())
@@ -726,10 +718,9 @@ mod tests {
             assert_eq!(after, before[i], "instance {i} saw traffic for an unservable size");
         }
         assert_eq!(p.total_spills(), 0, "an unservable size is not a spill");
-        assert_eq!(p.oversize_denials(), 33, "1 scalar + 32 collective lanes");
-        assert_eq!(p.pool_stats().oversize_denials, 33);
+        assert_eq!(p.pool_stats().oversize_denials, 33, "1 scalar + 32 collective lanes");
         p.reset();
-        assert_eq!(p.oversize_denials(), 0, "reset clears the denial counter");
+        assert_eq!(p.pool_stats().oversize_denials, 0, "reset clears the denial counter");
     }
 
     #[test]
@@ -749,7 +740,7 @@ mod tests {
                 assert!(out[lane].is_null(), "oversize lane {lane} must be denied");
             }
         }
-        assert_eq!(p.oversize_denials(), 16);
+        assert_eq!(p.pool_stats().oversize_denials, 16);
         p.warp_free(&w, &out);
         assert_eq!(p.stats().reserved_bytes, 0);
         p.check_invariants().expect("clean after mixed warp");

@@ -16,13 +16,19 @@
 //!   same seed;
 //! * the global allocator can be topology-backed
 //!   (`init_global_device_pool`), exercised here because this
-//!   integration binary is its own process.
+//!   integration binary is its own process;
+//! * unit cases of the multi-device pool through its public API —
+//!   affinity, whole-device spill, cross-device donation, oversize
+//!   denial, collective regrouping, reset, invariant reports — and the
+//!   parity gate: a 1-device `DevicePool` replays a `GallatinPool` of
+//!   the same width bit for bit (scalar, collective, and elastic
+//!   traffic).
 
 use gallatin::global::{
     global_allocator, global_allocator_initialized, global_check_invariants, global_device_pool,
     global_free, global_malloc, init_global_device_pool,
 };
-use gallatin::{DevicePool, GallatinConfig};
+use gallatin::{DevicePool, GallatinConfig, GallatinPool, TREE_FREE};
 use gpu_sim::trace::{self, Ledger, TraceSink};
 use gpu_sim::{launch, launch_warps, DeviceAllocator, DeviceConfig, DevicePtr, WarpCtx};
 use proptest::prelude::*;
@@ -157,7 +163,10 @@ proptest! {
             );
             // The routing table agrees with the physical placement
             // (no donations have moved anything yet).
-            prop_assert_eq!(pool.home_of_segment(p.0 / seg_bytes), home_dev);
+            prop_assert_eq!(
+                pool.owner_of_segment(p.0 / seg_bytes),
+                Some(home_dev * width + home_inst)
+            );
         }
         prop_assert_eq!(pool.total_cross_spills(), 0);
         let wf = WarpCtx { warp_id: 1, sm_id: free_sm, base_tid: 1 << 20, active: count as u32 };
@@ -239,4 +248,256 @@ fn global_allocator_can_be_a_device_pool() {
     let s = pool.topo_stats();
     assert!(s.local_accesses > 0);
     assert_eq!(s.peer_accesses, 0, "a same-lane storm never crosses the interconnect");
+}
+
+fn topo_pool(devices: u32, width: usize) -> DevicePool {
+    DevicePool::new(devices, width, GallatinConfig::small_test(HEAP))
+}
+
+fn warp_on(sm_id: u32, active: u32) -> WarpCtx {
+    WarpCtx { warp_id: sm_id as u64, sm_id, base_tid: (sm_id as u64) << 32, active }
+}
+
+#[test]
+fn affinity_places_on_the_sm_home_device() {
+    let t = topo_pool(2, 2);
+    let stride = t.topology().device_stride();
+    // SM 0 and 2 home on device 0, SM 1 and 3 on device 1.
+    for sm in 0..4u32 {
+        let p = t.malloc(&warp_on(sm, 1).lane(0), 64);
+        assert!(!p.is_null());
+        assert_eq!(p.device_of(stride), sm % 2, "SM {sm} must allocate on its device");
+        assert_eq!(t.device_of(p), t.affinity_device(sm));
+        t.free(&warp_on(sm, 1).lane(0), p);
+    }
+    let s = t.topo_stats();
+    assert_eq!((s.cross_spills, s.peer_accesses), (0, 0), "all-affine traffic stays local");
+    assert_eq!(s.local_accesses, 8, "4 mallocs + 4 frees, all local");
+    assert_eq!(t.stats().reserved_bytes, 0);
+    t.check_invariants().expect("clean after affine traffic");
+}
+
+#[test]
+fn whole_device_denial_spills_across_the_interconnect() {
+    let t = topo_pool(2, 2);
+    let seg = t.pool(0).instance(0).geometry().segment_bytes;
+    let l0 = warp_on(0, 1);
+    // Exhaust device 0 wholesale: 2 instances × 16 segments.
+    let held: Vec<_> = (0..32).map(|_| t.malloc(&l0.lane(0), seg)).collect();
+    assert!(held.iter().all(|q| !q.is_null()));
+    assert_eq!(t.total_cross_spills(), 0, "in-device walk absorbed everything so far");
+    assert!(t.pool(0).total_spills() > 0, "the in-device spill walk ran first");
+    // The 33rd crosses to device 1 — charged to home device 0, and the
+    // access is classified peer.
+    let crossed = t.malloc(&l0.lane(0), seg);
+    assert!(!crossed.is_null());
+    assert_eq!(t.device_of(crossed), 1, "served by the peer device");
+    assert_eq!(t.cross_spill_count(0), 1);
+    assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 1);
+    // Frees route home by segment ownership regardless of SM.
+    t.free(&warp_on(3, 1).lane(0), crossed);
+    for q in held {
+        t.free(&warp_on(2, 1).lane(0), q);
+    }
+    assert_eq!(t.stats().reserved_bytes, 0);
+    t.check_invariants().expect("clean after cross-device spill + routed frees");
+}
+
+#[test]
+fn cross_device_donation_rehomes_and_routing_follows() {
+    let t = topo_pool(2, 2);
+    assert_eq!(t.donate_across(0, 1, 4), Ok(4));
+    assert_eq!(t.topo_stats().cross_donations, 4);
+    t.check_invariants().expect("clean after cross-device donation");
+    // Device 1 now answers for 36 segments; device 0 for 28.
+    let s = t.topo_stats();
+    let owned: Vec<u64> = s
+        .devices
+        .iter()
+        .map(|d| d.instances.iter().map(|i| i.owned_segments).sum::<u64>())
+        .collect();
+    assert_eq!(owned, vec![28, 36], "responsibility moved without copying bytes");
+    // Device 1 can hold 36 segment claims with no cross-device spill;
+    // the 4 donated ones are physically on device 0, so those
+    // allocations classify as peer accesses.
+    let seg = t.pool(0).instance(0).geometry().segment_bytes;
+    let l1 = warp_on(1, 1);
+    let held: Vec<_> = (0..36).map(|_| t.malloc(&l1.lane(0), seg)).collect();
+    assert!(held.iter().all(|q| !q.is_null()));
+    assert_eq!(t.total_cross_spills(), 0, "donated headroom absorbed the pressure");
+    let donated: Vec<_> = held.iter().filter(|q| t.device_of(**q) == 0).collect();
+    assert_eq!(donated.len(), 4, "exactly the donated segments are peer memory");
+    assert_eq!(t.metrics().unwrap().snapshot().peer_accesses, 4);
+    // Frees of donated-segment pointers route to device 1 (the owner),
+    // not device 0 (the physical host).
+    for q in held {
+        t.free(&warp_on(5, 1).lane(0), q);
+    }
+    assert_eq!(t.stats().reserved_bytes, 0);
+    t.check_invariants().expect("clean after routed frees of donated segments");
+}
+
+#[test]
+fn cross_device_donation_bounces_when_the_quiesce_check_fails() {
+    let t = topo_pool(2, 1);
+    // Plant a torn state on device 0's first segment.
+    t.pool(0).instance(0).table().seg(0).tree_id.store(0, Ordering::SeqCst);
+    let err = t.donate_across(0, 1, 16).unwrap_err();
+    assert!(err.contains("quiesce"), "unexpected error: {err}");
+    assert_eq!(t.topo_stats().cross_donations, 0);
+    // Repair and retry: the full span crosses.
+    t.pool(0).instance(0).table().seg(0).tree_id.store(TREE_FREE, Ordering::SeqCst);
+    assert_eq!(t.donate_across(0, 1, 16), Ok(16));
+    t.check_invariants().expect("clean after the repaired donation");
+}
+
+#[test]
+fn oversize_requests_are_denied_once_and_walk_nothing() {
+    let t = topo_pool(2, 2);
+    assert!(!t.supports_size(t.stride() + 1));
+    assert_eq!(t.max_native_size(), t.stride());
+    assert!(t.malloc(&warp_on(0, 1).lane(0), t.stride() + 1).is_null());
+    let denials = |d: usize| t.pool(d).pool_stats().oversize_denials;
+    assert_eq!(denials(0), 1, "home device counts the one denial");
+    assert_eq!(denials(1), 0, "peers are never consulted");
+    let w = warp_on(0, 32);
+    let sizes = vec![Some(t.stride() + 1); 32];
+    let mut out = vec![DevicePtr(7); 32];
+    t.warp_malloc(&w, &sizes, &mut out);
+    assert!(out.iter().all(|q| q.is_null()));
+    assert_eq!((denials(0), denials(1)), (33, 0));
+    assert_eq!(t.total_cross_spills(), 0, "an unservable size is not a spill");
+}
+
+#[test]
+fn warp_collectives_regroup_across_devices() {
+    let t = topo_pool(2, 1);
+    let w0 = warp_on(0, 32);
+    let w1 = warp_on(1, 32);
+    let sizes = vec![Some(16u64); 32];
+    let mut a = vec![DevicePtr::NULL; 32];
+    let mut b = vec![DevicePtr::NULL; 32];
+    t.warp_malloc(&w0, &sizes, &mut a);
+    t.warp_malloc(&w1, &sizes, &mut b);
+    assert!(a.iter().all(|q| !q.is_null() && t.device_of(*q) == 0));
+    assert!(b.iter().all(|q| !q.is_null() && t.device_of(*q) == 1));
+    // Interleave both devices' pointers in one collective free: each
+    // owner receives its half as one group.
+    let mixed: Vec<DevicePtr> = (0..32).map(|l| if l % 2 == 0 { a[l] } else { b[l] }).collect();
+    let rest: Vec<DevicePtr> = (0..32).map(|l| if l % 2 == 0 { b[l] } else { a[l] }).collect();
+    t.warp_free(&w0, &mixed);
+    t.warp_free(&w1, &rest);
+    assert_eq!(t.stats().reserved_bytes, 0);
+    t.check_invariants().expect("clean after interleaved cross-device frees");
+}
+
+#[test]
+fn reset_restores_the_initial_topology() {
+    let t = topo_pool(2, 2);
+    let seg = t.pool(0).instance(0).geometry().segment_bytes;
+    let l0 = warp_on(0, 1);
+    for _ in 0..33 {
+        assert!(!t.malloc(&l0.lane(0), seg).is_null());
+    }
+    assert_eq!(t.total_cross_spills(), 1);
+    assert_eq!(t.donate_across(1, 0, 2), Ok(2));
+    t.reset();
+    let s = t.topo_stats();
+    assert_eq!((s.reserved_bytes, s.cross_spills, s.cross_donations), (0, 0, 0));
+    assert_eq!((s.local_accesses, s.peer_accesses), (0, 0));
+    for d in 0..2 {
+        assert!(s.devices[d].instances.iter().all(|i| i.owned_segments == 16));
+    }
+    t.check_invariants().expect("clean after reset");
+}
+
+#[test]
+#[should_panic(expected = "foreign pointer")]
+fn foreign_pointer_free_panics() {
+    let t = topo_pool(2, 1);
+    t.free(&warp_on(0, 1).lane(0), DevicePtr(t.heap_bytes() + 64));
+}
+
+#[test]
+fn invariant_check_names_the_corrupt_device() {
+    let t = topo_pool(2, 1);
+    // Segment 17 is device 1's: claim its tree_id without removing it
+    // from the segment tree or formatting it.
+    t.pool(1).instance(0).table().seg(17).tree_id.store(0, Ordering::SeqCst);
+    let err = t.check_invariants().unwrap_err();
+    assert!(err.contains("device 1: instance 0: segment 17"), "unexpected report: {err}");
+}
+
+#[test]
+fn single_device_pool_matches_a_standalone_pool_bit_for_bit() {
+    // The parity gate: DevicePool(1, n, cfg) must replay GallatinPool(n,
+    // cfg) exactly — same placement, same counters, same per-instance
+    // metrics — because the topology adds only host-side accounting
+    // (never a preemption point).
+    let one = topo_pool(1, 2);
+    let flat = GallatinPool::new(2, GallatinConfig::small_test(HEAP));
+    let seg = flat.instance(0).geometry().segment_bytes;
+    // Scalar traffic, with a forced in-device spill.
+    let scalar = |a: &dyn DeviceAllocator| {
+        let mut held = Vec::new();
+        for sm in 0..4u32 {
+            for i in 0..5u64 {
+                let p = a.malloc(&warp_on(sm, 1).lane(0), 16 << (i % 3));
+                assert!(!p.is_null());
+                held.push((sm, p));
+            }
+        }
+        for _ in 0..17 {
+            let p = a.malloc(&warp_on(0, 1).lane(0), seg);
+            assert!(!p.is_null());
+            held.push((0, p));
+        }
+        for (sm, p) in held {
+            a.free(&warp_on(sm, 1).lane(0), p);
+        }
+    };
+    // Warp-collective traffic: fill instance 0 with segment-sized
+    // claims, then a warp homed there spills its group to the sibling.
+    let collective = |a: &dyn DeviceAllocator| {
+        let filler: Vec<_> = (0..15).map(|_| a.malloc(&warp_on(0, 1).lane(0), seg)).collect();
+        let (w, mut out) = (warp_on(2, 32), vec![DevicePtr::NULL; 32]);
+        let sizes: Vec<Option<u64>> = (0..32).map(|l| Some(if l < 2 { seg } else { 64 })).collect();
+        a.warp_malloc(&w, &sizes, &mut out);
+        assert!(out.iter().all(|p| !p.is_null()));
+        a.warp_free(&warp_on(3, 32), &out);
+        for p in filler {
+            a.free(&warp_on(1, 1).lane(0), p);
+        }
+    };
+    scalar(&one);
+    scalar(&flat);
+    let before = flat.total_spills();
+    collective(&one);
+    collective(&flat);
+    assert!(flat.total_spills() > before, "the collective walk must spill to the sibling");
+    // Elastic traffic: donate, shrink, grow, and adopt-before-spill.
+    for p in [&*one, &flat] {
+        p.trim();
+        assert_eq!(p.donate(0, 1, 3), Ok(3));
+        assert_eq!(p.shrink_instance(1, 5), 5);
+        assert_eq!(p.grow(0, 2), 2);
+        let held: Vec<_> = (0..16).map(|_| p.malloc(&warp_on(0, 1).lane(0), seg)).collect();
+        assert!(held.iter().all(|q| !q.is_null()));
+        for q in held {
+            p.free(&warp_on(0, 1).lane(0), q);
+        }
+    }
+    for i in 0..2 {
+        assert_eq!(
+            one.pool(0).instance(i).metrics().unwrap().snapshot(),
+            flat.instance(i).metrics().unwrap().snapshot(),
+            "instance {i} metrics must be bit-identical"
+        );
+    }
+    assert_eq!(one.pool(0).pool_stats(), flat.pool_stats());
+    assert!(flat.pool_stats().adopted_segments > 2, "the malloc walk adopted parked headroom");
+    assert_eq!(one.total_cross_spills(), 0, "one device has no peers to spill to");
+    assert_eq!(one.metrics().unwrap().snapshot().peer_accesses, 0);
+    one.check_invariants().expect("clean");
+    flat.check_invariants().expect("clean");
 }

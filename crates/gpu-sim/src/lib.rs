@@ -69,6 +69,6 @@ pub use sched::{
     current_sched_seed, explore_schedules, preempt_point, spin_hint, with_hooks, FaultPlan,
     PreemptPoint, ScheduleFailure, SimHooks,
 };
-pub use topo::{InterconnectCost, Topology};
+pub use topo::{Topology, PEER_ACCESS_STEPS};
 pub use trace::{TraceEvent, TraceRecord, TraceSink};
 pub use warp::{LaneCtx, WarpCtx, WARP_SIZE};

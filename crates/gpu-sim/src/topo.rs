@@ -2,29 +2,28 @@
 //!
 //! The rest of the workspace grew up on one implicit device — one
 //! [`DeviceMemory`] arena, pointers that are plain offsets, a trace
-//! `instance` field. A production deployment (ROADMAP item 4) spans
-//! several GPUs whose memories are distinct but mutually reachable over
-//! an interconnect with asymmetric cost: an access served by the issuing
-//! SM's own device is cheap, one that crosses to a peer is not (the
-//! MGSim/MGMark model). This module makes that explicit:
+//! `instance` field. A production deployment spans several GPUs whose
+//! memories are distinct but mutually reachable over an interconnect
+//! with asymmetric cost: an access served by the issuing SM's own
+//! device is cheap, one that crosses to a peer is not (the MGSim/MGMark
+//! model). This module makes that explicit:
 //!
 //! * [`Topology`] — one contiguous reservation carved into N equal
-//!   per-device windows. Pointers stay *global* offsets into the parent
+//!   per-device spans. Pointers stay *global* offsets into the parent
 //!   arena, so every existing allocator keeps working unchanged; the
 //!   device holding a pointer is recovered by integer division
 //!   ([`DevicePtr::device_of`]), the same derivation Gallatin uses for
 //!   segment ids one level down.
-//! * [`InterconnectCost`] — the per-access step tariff. The default is
-//!   `{local: 0, peer: 40}`: local accesses charge nothing (keeping
+//! * [`PEER_ACCESS_STEPS`] — the step cost of one access crossing to a
+//!   peer device, roughly the local/remote latency ratio NVLink-class
+//!   fabrics exhibit. A local access costs nothing, keeping
 //!   single-device step counts bit-identical to the pre-topology
-//!   simulator), peer accesses charge roughly the local/remote latency
-//!   ratio NVLink-class fabrics exhibit.
+//!   simulator.
 //! * [`Topology::classify_access`] — the accounting hook: given the
-//!   issuing SM and the pointer touched, bump the local/peer counters on
-//!   a [`Metrics`] and return the step cost to charge on a
-//!   [`crate::clock::StepClock`]. Deliberately *not* a scheduler
-//!   preemption point: traffic accounting must never perturb the
-//!   deterministic schedule (see `crate::metrics::Metrics::count_local_access`).
+//!   issuing SM and the pointer touched, bump the local or peer counter
+//!   on a [`Metrics`]. Deliberately *not* a scheduler preemption point:
+//!   traffic accounting must never perturb the deterministic schedule
+//!   (see `crate::metrics::Metrics::count_local_access`).
 //!
 //! SM→device affinity is static and round-robin (`sm % devices`),
 //! mirroring how the launch machinery assigns SM ids to warps; the
@@ -34,34 +33,11 @@
 use crate::mem::{DeviceMemory, DevicePtr};
 use crate::metrics::Metrics;
 
-/// Per-access step tariff of the interconnect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InterconnectCost {
-    /// Steps charged for an access served by the issuing SM's device.
-    /// 0 by default so single-device topologies add no cost at all.
-    pub local_steps: u64,
-    /// Steps charged for an access that crosses to a peer device.
-    pub peer_steps: u64,
-}
+/// Steps one peer access costs: ~40:1 remote:local, the order of
+/// magnitude NVLink-class fabrics show for fine-grained peer access.
+pub const PEER_ACCESS_STEPS: u64 = 40;
 
-impl Default for InterconnectCost {
-    fn default() -> Self {
-        // ~40:1 remote:local, the order of magnitude NVLink-class
-        // fabrics show for fine-grained peer access.
-        InterconnectCost { local_steps: 0, peer_steps: 40 }
-    }
-}
-
-impl InterconnectCost {
-    /// A free interconnect: peer access costs the same as local (both 0).
-    /// Useful for isolating routing behaviour from latency modeling.
-    pub fn free() -> Self {
-        InterconnectCost { local_steps: 0, peer_steps: 0 }
-    }
-}
-
-/// N device arenas carved from one reservation, plus the interconnect
-/// joining them.
+/// N device arenas carved from one reservation.
 ///
 /// ```
 /// use gpu_sim::topo::Topology;
@@ -70,7 +46,7 @@ impl InterconnectCost {
 /// let topo = Topology::new(4, 16 << 20);
 /// assert_eq!(topo.devices(), 4);
 /// assert_eq!(topo.device_stride(), 16 << 20);
-/// // A pointer in the second window belongs to device 1.
+/// // A pointer in the second span belongs to device 1.
 /// assert_eq!(topo.device_of(DevicePtr(topo.device_stride() + 8)), 1);
 /// // SM 5 on a 4-device topology has affinity to device 1.
 /// assert_eq!(topo.affinity_device(5), 1);
@@ -78,47 +54,36 @@ impl InterconnectCost {
 #[derive(Debug)]
 pub struct Topology {
     mem: DeviceMemory,
-    windows: Vec<DeviceMemory>,
+    devices: u32,
     device_stride: u64,
-    cost: InterconnectCost,
 }
 
 impl Topology {
-    /// A topology of `devices` arenas of `bytes_per_device` each, with
-    /// the default interconnect tariff.
+    /// A topology of `devices` arenas of `bytes_per_device` each.
     ///
     /// # Panics
     /// Panics if `devices == 0` or `bytes_per_device == 0`.
     pub fn new(devices: u32, bytes_per_device: u64) -> Self {
-        Self::with_cost(devices, bytes_per_device, InterconnectCost::default())
-    }
-
-    /// A topology with an explicit interconnect tariff.
-    pub fn with_cost(devices: u32, bytes_per_device: u64, cost: InterconnectCost) -> Self {
         assert!(devices > 0, "a topology needs at least one device");
         assert!(bytes_per_device > 0, "devices need non-empty arenas");
         let total = bytes_per_device.checked_mul(devices as u64).expect("topology size overflow");
-        let mem = DeviceMemory::new(total as usize);
-        let windows = mem.split(devices as usize);
-        Topology { mem, windows, device_stride: bytes_per_device, cost }
+        Topology {
+            mem: DeviceMemory::new(total as usize),
+            devices,
+            device_stride: bytes_per_device,
+        }
     }
 
     /// Number of devices.
     #[inline]
     pub fn devices(&self) -> u32 {
-        self.windows.len() as u32
+        self.devices
     }
 
-    /// Bytes per device window — the pointer-routing divisor.
+    /// Bytes per device span — the pointer-routing divisor.
     #[inline]
     pub fn device_stride(&self) -> u64 {
         self.device_stride
-    }
-
-    /// The interconnect tariff.
-    #[inline]
-    pub fn cost(&self) -> InterconnectCost {
-        self.cost
     }
 
     /// The whole reservation: every device's bytes, global offsets. This
@@ -126,15 +91,6 @@ impl Topology {
     #[inline]
     pub fn memory(&self) -> &DeviceMemory {
         &self.mem
-    }
-
-    /// Device `d`'s window (local offsets starting at 0).
-    ///
-    /// # Panics
-    /// Panics if `d` is out of range.
-    #[inline]
-    pub fn window(&self, d: u32) -> &DeviceMemory {
-        &self.windows[d as usize]
     }
 
     /// The device whose arena holds `ptr`'s bytes.
@@ -146,10 +102,10 @@ impl Topology {
     pub fn device_of(&self, ptr: DevicePtr) -> u32 {
         let d = ptr.device_of(self.device_stride);
         assert!(
-            (d as usize) < self.windows.len(),
+            d < self.devices,
             "pointer {} beyond the {}-device reservation",
             ptr.0,
-            self.windows.len()
+            self.devices
         );
         d
     }
@@ -158,30 +114,17 @@ impl Topology {
     /// launch machinery's SM assignment so consecutive SMs spread evenly.
     #[inline]
     pub fn affinity_device(&self, sm: u32) -> u32 {
-        sm % self.devices()
-    }
-
-    /// Steps an access from `sm` to `ptr` costs on this topology.
-    #[inline]
-    pub fn access_steps(&self, sm: u32, ptr: DevicePtr) -> u64 {
-        if self.device_of(ptr) == self.affinity_device(sm) {
-            self.cost.local_steps
-        } else {
-            self.cost.peer_steps
-        }
+        sm % self.devices
     }
 
     /// Account one access from `sm` to `ptr`: bump the local or peer
-    /// counter on `metrics` and return the step cost for the caller to
-    /// charge on its [`crate::clock::StepClock`]. Not a preemption point.
+    /// counter on `metrics`. Not a preemption point.
     #[inline]
-    pub fn classify_access(&self, sm: u32, ptr: DevicePtr, metrics: &Metrics) -> u64 {
+    pub fn classify_access(&self, sm: u32, ptr: DevicePtr, metrics: &Metrics) {
         if self.device_of(ptr) == self.affinity_device(sm) {
             metrics.count_local_access();
-            self.cost.local_steps
         } else {
             metrics.count_peer_access(1);
-            self.cost.peer_steps
         }
     }
 }
@@ -191,30 +134,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn windows_partition_the_reservation() {
-        let topo = Topology::new(4, 1 << 20);
-        assert_eq!(topo.devices(), 4);
-        assert_eq!(topo.memory().len(), 4 << 20);
-        for d in 0..4 {
-            assert_eq!(topo.window(d).len(), 1 << 20);
-            // Offset 0 of window d aliases global offset d * stride.
-            topo.window(d).store_u64(0, 100 + d as u64);
-            assert_eq!(topo.memory().load_u64(d as u64 * (1 << 20)), 100 + d as u64);
-        }
-    }
-
-    #[test]
     fn pointer_routing_and_affinity() {
         let topo = Topology::new(2, 1 << 16);
+        assert_eq!(topo.memory().len(), 2 << 16);
         assert_eq!(topo.device_of(DevicePtr(0)), 0);
         assert_eq!(topo.device_of(DevicePtr(1 << 16)), 1);
         assert_eq!(topo.affinity_device(0), 0);
         assert_eq!(topo.affinity_device(1), 1);
         assert_eq!(topo.affinity_device(2), 0);
-        // Single device: every SM maps to device 0, everything is local.
+        // Single device: every SM maps to device 0.
         let one = Topology::new(1, 1 << 16);
         assert_eq!(one.affinity_device(13), 0);
-        assert_eq!(one.access_steps(13, DevicePtr(64)), 0);
+        assert_eq!(one.device_of(DevicePtr(64)), 0);
     }
 
     #[test]
@@ -225,26 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn classify_access_counts_and_charges() {
-        let topo =
-            Topology::with_cost(2, 1 << 16, InterconnectCost { local_steps: 1, peer_steps: 40 });
+    fn classify_access_counts_local_and_peer() {
+        let topo = Topology::new(2, 1 << 16);
         let m = Metrics::new();
-        // SM 0 → device 0 pointer: local.
-        assert_eq!(topo.classify_access(0, DevicePtr(8), &m), 1);
-        // SM 0 → device 1 pointer: peer.
-        assert_eq!(topo.classify_access(0, DevicePtr((1 << 16) + 8), &m), 40);
-        // SM 1 → device 1 pointer: local again.
-        assert_eq!(topo.classify_access(1, DevicePtr((1 << 16) + 8), &m), 1);
+        topo.classify_access(0, DevicePtr(8), &m); // SM 0 → device 0: local
+        topo.classify_access(0, DevicePtr((1 << 16) + 8), &m); // SM 0 → device 1: peer
+        topo.classify_access(1, DevicePtr((1 << 16) + 8), &m); // SM 1 → device 1: local
         let s = m.snapshot();
         assert_eq!((s.local_accesses, s.peer_accesses), (2, 1));
         assert!((s.peer_share() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_tariff_keeps_local_free() {
-        let c = InterconnectCost::default();
-        assert_eq!(c.local_steps, 0, "single-device step counts must not change");
-        assert!(c.peer_steps > 0);
-        assert_eq!(InterconnectCost::free(), InterconnectCost { local_steps: 0, peer_steps: 0 });
     }
 }
