@@ -47,13 +47,6 @@
 //!                   (seed count from GALLATIN_TOPO_SEEDS, default 8)
 //!   summary         §6.3-style speedup summary from the written CSVs
 //!   all             everything above, in order
-//!
-//! Perf-trend lane (E21 — see TESTING.md "Perf lane"):
-//!   perf            run the perf suite with repeated samples and append one
-//!                   gallatin-perf-v1 line to <history>/perf_history.jsonl
-//!   perf-gate       compare the latest history line against the rolling
-//!                   same-host baseline band; exits 1 on gross regressions
-//!   perf-report     render PERF_TREND.md + perf_trend.csv over the history
 //!   perf-check      lint BENCH_*.json files/dirs (positional args, default
 //!                   results/): median_ms must be a number or "untimed";
 //!                   null/missing exits 1
@@ -68,23 +61,15 @@
 //!   --json          also write machine-readable BENCH_<experiment>.json files
 //!   --full          paper-scale: 1M threads, 50 runs, 2G heap, 2^20 scaling
 //!   --smoke         CI smoke subset (serve): shorter horizon, fewer cells
-//!
-//! Perf flags (perf/perf-gate/perf-report only):
-//!   --samples N     repeated suite samples per run, medians kept (default 3)
-//!   --history DIR   history directory (default results/history)
-//!   --window N      rolling-baseline window for perf-gate (default 10)
-//!   --sha S         git SHA stamped on the appended run (default $GITHUB_SHA
-//!                   or "local")
-//!   --stamp S       timestamp label (default unix-<seconds>)
-//!   --host S        host label; the gate only compares equal labels
-//!                   (default $PERF_HOST or "local")
-//!   --seeds SPEC    churn-cell schedule seeds: "0..8" or "0,3,7" (default 0..8)
 //! ```
 
 use bench::experiments as exp;
-use bench::perf::PerfOptions;
 use bench::HarnessConfig;
 
+const USAGE: &str = "usage: repro <init|single|mixed|scaling|variance|warmup|fragmentation|utilization|graph|expansion|reclaim|ablation|bench-smoke|trace|pool|replay|serve|elastic|topo|summary|all|perf-check> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] [--out DIR] [--json] [--full] [--smoke]";
+
+/// A byte count with an optional K/M/G suffix; `None` if it does not
+/// parse or overflows `u64`.
 fn parse_bytes(s: &str) -> Option<u64> {
     let (num, mult) = match s.chars().last()? {
         'G' | 'g' => (&s[..s.len() - 1], 1u64 << 30),
@@ -92,108 +77,65 @@ fn parse_bytes(s: &str) -> Option<u64> {
         'K' | 'k' => (&s[..s.len() - 1], 1u64 << 10),
         _ => (s, 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// `--seeds` accepts a half-open range (`0..8`) or a comma list (`0,3,7`).
-fn parse_seeds(s: &str) -> Option<Vec<u64>> {
-    if let Some((a, b)) = s.split_once("..") {
-        let (a, b) = (a.parse::<u64>().ok()?, b.parse::<u64>().ok()?);
-        if a >= b {
-            return None;
+/// The value following `flag`, or an error naming the flag.
+fn flag_value<'a>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<&'a str, String> {
+    rest.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// `flag`'s value parsed as a number, or an error naming the flag.
+fn flag_num<'a, T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<T, String> {
+    let v = flag_value(flag, rest)?;
+    v.parse().map_err(|_| format!("{flag}: not a number: {v}"))
+}
+
+/// Split the command line into the subcommand, the harness
+/// configuration and the positional arguments.
+fn parse_args(args: &[String]) -> Result<(String, HarnessConfig, Vec<String>), String> {
+    let (cmd, flags) = args.split_first().ok_or("missing subcommand")?;
+    let mut cfg = HarnessConfig::default();
+    let mut positional = Vec::new();
+    let mut rest = flags.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--threads" => cfg.threads = flag_num(arg, &mut rest)?,
+            "--runs" => cfg.runs = flag_num(arg, &mut rest)?,
+            "--heap" => {
+                let v = flag_value(arg, &mut rest)?;
+                cfg.heap_bytes = parse_bytes(v).ok_or_else(|| {
+                    format!("--heap: not a byte count (K/M/G suffix, fits u64): {v}")
+                })?;
+            }
+            "--sms" => cfg.num_sms = flag_num(arg, &mut rest)?,
+            "--pool" => cfg.pool_threads = flag_num(arg, &mut rest)?,
+            "--out" => cfg.out_dir = flag_value(arg, &mut rest)?.to_string(),
+            "--json" => cfg.json = true,
+            "--full" => cfg = cfg.at_full_scale(),
+            "--smoke" => cfg.smoke = true,
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+            other => positional.push(other.to_string()),
         }
-        return Some((a..b).collect());
     }
-    s.split(',').map(|p| p.trim().parse::<u64>().ok()).collect()
+    Ok((cmd.clone(), cfg, positional))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: repro <init|single|mixed|scaling|variance|warmup|fragmentation|utilization|graph|expansion|reclaim|ablation|bench-smoke|trace|pool|replay|serve|elastic|topo|perf|perf-gate|perf-report|perf-check|summary|all> [--threads N] [--runs N] [--heap BYTES] [--sms N] [--pool N] [--out DIR] [--json] [--full] [--smoke] [--samples N] [--history DIR] [--window N] [--sha S] [--stamp S] [--host S] [--seeds SPEC]");
-        std::process::exit(2);
-    }
-    let cmd = args[0].clone();
-    let mut cfg = HarnessConfig::default();
-    let mut perf = PerfOptions::default();
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                cfg.threads = args[i + 1].parse().expect("--threads N");
-                i += 2;
-            }
-            "--runs" => {
-                cfg.runs = args[i + 1].parse().expect("--runs N");
-                i += 2;
-            }
-            "--heap" => {
-                cfg.heap_bytes = parse_bytes(&args[i + 1]).expect("--heap BYTES");
-                i += 2;
-            }
-            "--sms" => {
-                cfg.num_sms = args[i + 1].parse().expect("--sms N");
-                i += 2;
-            }
-            "--pool" => {
-                cfg.pool_threads = args[i + 1].parse().expect("--pool N");
-                i += 2;
-            }
-            "--out" => {
-                cfg.out_dir = args[i + 1].clone();
-                i += 2;
-            }
-            "--json" => {
-                cfg.json = true;
-                i += 1;
-            }
-            "--full" => {
-                cfg = cfg.clone().at_full_scale();
-                i += 1;
-            }
-            "--smoke" => {
-                cfg.smoke = true;
-                i += 1;
-            }
-            "--samples" => {
-                perf.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--history" => {
-                perf.history_dir = args[i + 1].clone();
-                i += 2;
-            }
-            "--window" => {
-                perf.window = args[i + 1].parse().expect("--window N");
-                i += 2;
-            }
-            "--sha" => {
-                perf.sha = args[i + 1].clone();
-                i += 2;
-            }
-            "--stamp" => {
-                perf.stamp = args[i + 1].clone();
-                i += 2;
-            }
-            "--host" => {
-                perf.host = args[i + 1].clone();
-                i += 2;
-            }
-            "--seeds" => {
-                perf.seeds = parse_seeds(&args[i + 1]).expect("--seeds A..B or A,B,C");
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
+    let (cmd, cfg, positional) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("repro: {e}\n{USAGE}");
+            std::process::exit(2);
         }
-    }
+    };
     cfg.install_pool();
     println!(
         "# gallatin-repro harness — threads={} runs={} heap={}MiB sms={} pool={}",
@@ -242,25 +184,10 @@ fn main() {
             }
         }
         "summary" => exp::run_summary(&cfg.out_dir),
-        "perf" => {
-            if !bench::perf::run_perf(&perf) {
-                std::process::exit(1);
-            }
-        }
-        "perf-gate" => {
-            if !bench::perf::run_perf_gate(&perf) {
-                std::process::exit(1);
-            }
-        }
-        "perf-report" => {
-            if !bench::perf::run_perf_report(&perf) {
-                std::process::exit(1);
-            }
-        }
         "perf-check" => {
             let paths =
                 if positional.is_empty() { vec!["results".to_string()] } else { positional };
-            if !bench::perf::run_perf_check(&paths) {
+            if !bench::report::run_perf_check(&paths) {
                 std::process::exit(1);
             }
         }
@@ -291,4 +218,41 @@ fn main() {
         }
     }
     println!("\n# done in {:.1}s — CSVs in {}/", t0.elapsed().as_secs_f64(), cfg.out_dir);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn flags_fill_the_config() {
+        let (cmd, cfg, pos) =
+            parse_args(&argv("perf-check --heap 64M --sms 4 --out x --json a b")).unwrap();
+        assert_eq!(cmd, "perf-check");
+        assert_eq!((cfg.heap_bytes, cfg.num_sms, cfg.out_dir.as_str()), (64 << 20, 4, "x"));
+        assert!(cfg.json);
+        assert_eq!(pos, ["a", "b"]);
+    }
+
+    #[test]
+    fn missing_value_names_the_flag() {
+        for flag in ["--out", "--threads", "--heap"] {
+            let err = parse_args(&argv(&format!("pool {flag}"))).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        assert!(parse_args(&[]).is_err());
+        assert!(parse_args(&argv("pool --samples 3")).unwrap_err().contains("--samples"));
+    }
+
+    #[test]
+    fn heap_overflow_is_rejected() {
+        assert_eq!(parse_bytes("16G"), Some(16 << 30));
+        assert_eq!(parse_bytes("17179869184G"), None);
+        assert_eq!(parse_bytes("G"), None);
+        assert!(parse_args(&argv("pool --heap 99999999999999G")).unwrap_err().contains("--heap"));
+    }
 }

@@ -262,66 +262,9 @@ fn emit(cfg: &HarnessConfig, experiment: &str, recs: &[BenchRecord]) {
     }
 }
 
-/// One churn sweep with the wide-vEB-scan flag pinned: the E21 A/B cell.
-/// Counts must match the narrow run bit-for-bit (the wide path only adds
-/// plain loads), so the pair doubles as a correctness check.
-fn wide_sweep(wide: bool, seeds: u64, size: u64) -> SweepTotals {
-    let mut tot = SweepTotals { cas_attempts: 0, cas_failures: 0, atomic_rmw: 0, ms: 0.0 };
-    let heap = if size > 256 { SWEEP_HEAP_BLOCK } else { SWEEP_HEAP };
-    for seed in 0..seeds {
-        let g = Gallatin::new(GallatinConfig {
-            randomize_probe_starts: true,
-            wide_veb_scans: wide,
-            ..GallatinConfig::small_test(heap)
-        });
-        let t0 = Instant::now();
-        churn_once(&g, seed, size);
-        tot.ms += t0.elapsed().as_secs_f64() * 1e3;
-        g.check_invariants().expect("invariants after wide-scan sweep");
-        let m = g.metrics().expect("gallatin keeps metrics").snapshot();
-        tot.cas_attempts += m.cas_attempts;
-        tot.cas_failures += m.cas_failures;
-        tot.atomic_rmw += m.atomic_rmw;
-    }
-    tot
-}
-
 /// Run the full ablation (64-seed sweep) and emit table + CSV + JSON.
 pub fn run_ablation(cfg: &HarnessConfig) {
-    let mut recs = records("ablation", SWEEP_SEEDS_FULL);
-    // E21 A/B: wide vs narrow vEB leaf scans at both sweep sizes. The
-    // flag is a pure wall-clock knob, so the count columns must agree.
-    for size in [SWEEP_SIZE_SLICE, SWEEP_SIZE_BLOCK] {
-        let on = wide_sweep(true, SWEEP_SEEDS_FULL, size);
-        let off = wide_sweep(false, SWEEP_SEEDS_FULL, size);
-        assert_eq!(
-            (on.cas_attempts, on.cas_failures, on.atomic_rmw),
-            (off.cas_attempts, off.cas_failures, off.atomic_rmw),
-            "wide vEB scans changed atomic-op counts at size {size}"
-        );
-        println!(
-            "wide vEB scans ({size} B churn, {SWEEP_SEEDS_FULL} seeds): {:.1} ms on vs {:.1} ms off (counts identical)",
-            on.ms, off.ms
-        );
-        for (label, t) in [("on", on), ("off", off)] {
-            recs.push(BenchRecord {
-                experiment: "ablation".to_string(),
-                allocator: "Gallatin".to_string(),
-                params: vec![
-                    ("case".into(), "veb-scan".into()),
-                    ("size".into(), size.to_string()),
-                    ("wide_veb_scans".into(), label.into()),
-                    ("seeds".into(), SWEEP_SEEDS_FULL.to_string()),
-                ],
-                median_ms: t.ms,
-                counts: vec![
-                    ("cas_attempts".into(), t.cas_attempts),
-                    ("cas_failures".into(), t.cas_failures),
-                    ("atomic_rmw".into(), t.atomic_rmw),
-                ],
-            });
-        }
-    }
+    let recs = records("ablation", SWEEP_SEEDS_FULL);
     emit(cfg, "ablation", &recs);
     let find = |rand: &str, k: &str| {
         recs.iter()
@@ -348,7 +291,7 @@ pub fn run_ablation(cfg: &HarnessConfig) {
 /// a count regression fails `cargo test` locally, not only the CI gate.
 pub fn smoke_records() -> Vec<BenchRecord> {
     let mut recs = records("bench_smoke", SWEEP_SEEDS_SMOKE);
-    recs.extend(super::pool::pool_smoke_records("bench_smoke"));
+    recs.extend(super::pool::pool_smoke_records());
     recs
 }
 

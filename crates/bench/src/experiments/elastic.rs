@@ -29,8 +29,7 @@
 //!
 //! Every count is an exact function of the seed (deterministic
 //! scheduler, host-side maintenance), so the numbers land in
-//! `BENCH_elastic.json` as bit-stable gates, and the perf lane reuses
-//! the maintenance cycle as a timed cell ([`perf_record`]).
+//! `BENCH_elastic.json` as bit-stable gates.
 
 use crate::report::{write_bench_json, BenchRecord, Table};
 use crate::workload::{run_script, SkewedHotspot, WorkloadSource};
@@ -232,40 +231,6 @@ fn donate_after_frag(compacted: bool) -> (u64, u64, f64) {
     assert_eq!(pool.stats().reserved_bytes, 0, "pool attack teardown leaked");
     pool.check_invariants().expect("clean after donate-after-frag");
     (donated, relos.len() as u64, donate_ms)
-}
-
-/// The perf lane's elastic cell: one full maintenance cycle — fragment,
-/// compact, donate, shrink the recipient back to the pool free list,
-/// re-adopt at the origin — with every count an exact function of the
-/// (fixed) layout. The suite asserts the counts replay bit-for-bit
-/// across samples; only the ms may move.
-pub fn perf_record() -> BenchRecord {
-    let t0 = Instant::now();
-    let pool = GallatinPool::new(2, GallatinConfig::small_test(FRAG_HEAP));
-    let mut live = fragment_attack(&pool);
-    let relos = pool.compact(&live, COMPACT_OCCUPANCY);
-    apply_relocations(pool.memory(), &mut live, &relos);
-    let donated = pool.donate(0, 1, 16).expect("compacted segments donate");
-    let returned = pool.shrink_instance(1, donated);
-    let adopted = pool.grow(0, returned);
-    let w = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
-    for &(p, _) in &live {
-        pool.free(&w.lane(0), p);
-    }
-    assert_eq!(pool.stats().reserved_bytes, 0, "maintenance cycle leaked");
-    pool.check_invariants().expect("clean after maintenance cycle");
-    BenchRecord {
-        experiment: "perf".to_string(),
-        allocator: "GallatinPool".to_string(),
-        params: vec![("case".to_string(), "elastic-maintenance".to_string())],
-        median_ms: t0.elapsed().as_secs_f64() * 1e3,
-        counts: vec![
-            ("relocations".into(), relos.len() as u64),
-            ("donated".into(), donated),
-            ("returned".into(), returned),
-            ("adopted".into(), adopted),
-        ],
-    }
 }
 
 fn rec(
@@ -474,15 +439,34 @@ mod tests {
         assert_eq!(on.0, 15, "with compaction everything but the straggler segment donates");
     }
 
+    /// One full maintenance cycle — fragment, compact, donate, shrink
+    /// the recipient back to the pool free list, re-adopt at the origin.
+    /// Returns `(relocations, donated, returned, adopted)`, every one an
+    /// exact function of the fixed layout.
+    fn maintenance_cycle() -> (u64, u64, u64, u64) {
+        let pool = GallatinPool::new(2, GallatinConfig::small_test(FRAG_HEAP));
+        let mut live = fragment_attack(&pool);
+        let relos = pool.compact(&live, COMPACT_OCCUPANCY);
+        apply_relocations(pool.memory(), &mut live, &relos);
+        let donated = pool.donate(0, 1, 16).expect("compacted segments donate");
+        let returned = pool.shrink_instance(1, donated);
+        let adopted = pool.grow(0, returned);
+        let w = WarpCtx { warp_id: 0, sm_id: 0, base_tid: 0, active: 1 };
+        for &(p, _) in &live {
+            pool.free(&w.lane(0), p);
+        }
+        assert_eq!(pool.stats().reserved_bytes, 0, "maintenance cycle leaked");
+        pool.check_invariants().expect("clean after maintenance cycle");
+        (relos.len() as u64, donated, returned, adopted)
+    }
+
     #[test]
-    fn perf_cell_counts_replay_exactly() {
-        let (a, b) = (perf_record(), perf_record());
-        assert_eq!(a.counts, b.counts, "elastic maintenance cell must be count-deterministic");
-        let get = |r: &BenchRecord, k: &str| {
-            r.counts.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap()
-        };
-        assert!(get(&a, "relocations") > 0);
-        assert!(get(&a, "donated") > 0);
-        assert_eq!(get(&a, "returned"), get(&a, "adopted"), "the shuttle round-trips");
+    fn maintenance_cycle_counts_replay_exactly() {
+        let a = maintenance_cycle();
+        assert_eq!(a, maintenance_cycle(), "the maintenance cycle must be count-deterministic");
+        let (relocations, donated, returned, adopted) = a;
+        assert!(relocations > 0);
+        assert!(donated > 0);
+        assert_eq!(returned, adopted, "the shuttle round-trips");
     }
 }

@@ -158,11 +158,11 @@ fn width_records(experiment: &str, n: usize, seeds: u64) -> Vec<BenchRecord> {
 /// The smoke-gate slice of E18: the 2-instance aggregate at the smoke
 /// seed width, appended to `smoke_records()` so a pool-path count
 /// regression fails the same gate as the single-instance sweeps.
-pub fn pool_smoke_records(experiment: &str) -> Vec<BenchRecord> {
+pub fn pool_smoke_records() -> Vec<BenchRecord> {
     let (per, ms) = churn_pool(2, SWEEP_SEEDS_SMOKE);
     let sum = |f: fn(&InstanceTotals) -> u64| per.iter().map(f).sum::<u64>();
     vec![rec(
-        experiment,
+        "bench_smoke",
         "pool-churn",
         vec![
             ("instances".into(), "2".into()),

@@ -439,27 +439,6 @@ pub fn run_topo(cfg: &HarnessConfig) -> bool {
     clean
 }
 
-/// The perf-lane cell (`repro perf`, E21 "inter-device-spill"): the
-/// 2-device cascade, whose counts are exact functions of the geometry;
-/// only the ms may move.
-pub fn perf_record() -> BenchRecord {
-    let t0 = Instant::now();
-    let (s, claims, cost) = cascade(2);
-    assert_eq!(s.cross_spills, claims - WIDTH as u64 * 16, "cascade overflow is exact");
-    BenchRecord {
-        experiment: "perf".to_string(),
-        allocator: "DevicePool".to_string(),
-        params: vec![("case".to_string(), "inter-device-spill".to_string())],
-        median_ms: t0.elapsed().as_secs_f64() * 1e3,
-        counts: vec![
-            ("claims".into(), claims),
-            ("cross_spills".into(), s.cross_spills),
-            ("peer_accesses".into(), s.peer_accesses),
-            ("cascade_cost_steps".into(), cost),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,7 +97,7 @@ pub struct BenchRecord {
     pub params: Vec<(String, String)>,
     /// Median wall time of the measured kernel, milliseconds. NaN is
     /// written as the explicit string `"untimed"` — a schema-level
-    /// marker the perf gate skips deliberately (a *missing* or `null`
+    /// marker for a deliberately untimed row (a *missing* or `null`
     /// `median_ms` is a validation error; see `repro perf-check`).
     pub median_ms: f64,
     /// Atomic-op and telemetry counters, in a stable order.
@@ -177,12 +177,11 @@ pub fn write_bench_json(
     Ok(path)
 }
 
-/// How a record's `median_ms` field is spelled on disk. The perf lane
-/// distinguishes "deliberately untimed" (schema marker, gate skips)
-/// from "missing/null" (a writer bug `repro perf-check` fails loudly
-/// on — the silent-skip hole the nightly gate closes).
+/// How a record's `median_ms` field is spelled on disk:
+/// "deliberately untimed" (schema marker) versus "missing/null" (a
+/// writer bug [`run_perf_check`] fails loudly on).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MedianField {
+enum MedianField {
     /// A finite number of milliseconds.
     Timed,
     /// The explicit `"untimed"` string marker.
@@ -194,12 +193,91 @@ pub enum MedianField {
 }
 
 /// Classify the `median_ms` member of one record object.
-pub fn median_field(record: &json::Value) -> MedianField {
+fn median_field(record: &json::Value) -> MedianField {
     match record.get("median_ms") {
         Some(json::Value::Num(n)) if n.is_finite() => MedianField::Timed,
         Some(json::Value::Str(s)) if s == "untimed" => MedianField::Untimed,
         Some(json::Value::Null) => MedianField::Null,
         _ => MedianField::Missing,
+    }
+}
+
+/// Expand one `perf-check` argument: a file is itself, a directory is
+/// its `BENCH_*.json` files (sorted for stable output).
+fn check_targets(path: &Path) -> Vec<PathBuf> {
+    if path.is_dir() {
+        let mut found: Vec<PathBuf> = std::fs::read_dir(path)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            })
+            .collect();
+        found.sort();
+        found
+    } else {
+        vec![path.to_path_buf()]
+    }
+}
+
+/// `repro perf-check`: fail loudly on BENCH JSON records whose
+/// `median_ms` is `null` or missing. `"untimed"` is the only legitimate
+/// way to spell "this row is deliberately not a timing".
+pub fn run_perf_check(paths: &[String]) -> bool {
+    let mut files = 0usize;
+    let mut rows = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    for arg in paths {
+        for file in check_targets(Path::new(arg)) {
+            let text = match std::fs::read_to_string(&file) {
+                Ok(t) => t,
+                Err(e) => {
+                    failures.push(format!("{}: {e}", file.display()));
+                    continue;
+                }
+            };
+            let doc = match json::parse(&text) {
+                Ok(d) => d,
+                Err(e) => {
+                    failures.push(format!("{}: parse error: {e}", file.display()));
+                    continue;
+                }
+            };
+            let Some(records) = doc.get("records").and_then(json::Value::as_array) else {
+                failures.push(format!("{}: no \"records\" array", file.display()));
+                continue;
+            };
+            files += 1;
+            for (i, r) in records.iter().enumerate() {
+                rows += 1;
+                match median_field(r) {
+                    MedianField::Timed | MedianField::Untimed => {}
+                    MedianField::Null => failures.push(format!(
+                        "{}: record {i}: median_ms is null — time it or mark it \"untimed\"",
+                        file.display()
+                    )),
+                    MedianField::Missing => failures.push(format!(
+                        "{}: record {i}: median_ms missing — time it or mark it \"untimed\"",
+                        file.display()
+                    )),
+                }
+            }
+        }
+    }
+    println!("== perf-check: {files} file(s), {rows} record(s) ==");
+    for f in &failures {
+        println!("  FAIL: {f}");
+    }
+    if failures.is_empty() {
+        println!("perf-check: OK");
+        true
+    } else {
+        println!("perf-check: {} violation(s)", failures.len());
+        false
     }
 }
 
@@ -633,5 +711,31 @@ mod tests {
         assert_eq!(fmt_ms(0.1234), "0.1234");
         assert_eq!(fmt_ms(f64::NAN), "n/a");
         assert_eq!(fmt_pct(0.891), "89.1%");
+    }
+
+    #[test]
+    fn perf_check_flags_null_and_missing_medians() {
+        let dir = std::env::temp_dir().join("gallatin-perf-check-test");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("BENCH_good.json"),
+            r#"{"schema":"gallatin-bench-v1","records":[
+                {"experiment":"e","allocator":"a","params":{},"median_ms":1.5,"counts":{}},
+                {"experiment":"e","allocator":"a","params":{},"median_ms":"untimed","counts":{}}
+            ]}"#,
+        )
+        .unwrap();
+        assert!(run_perf_check(&[dir.to_string_lossy().into_owned()]));
+        fs::write(
+            dir.join("BENCH_bad.json"),
+            r#"{"schema":"gallatin-bench-v1","records":[
+                {"experiment":"e","allocator":"a","params":{},"median_ms":null,"counts":{}},
+                {"experiment":"e","allocator":"a","params":{},"counts":{}}
+            ]}"#,
+        )
+        .unwrap();
+        assert!(!run_perf_check(&[dir.to_string_lossy().into_owned()]));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

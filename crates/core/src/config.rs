@@ -42,14 +42,6 @@ pub struct GallatinConfig {
     /// Wraparound search preserves the "find any free" contract either
     /// way. Default: on. Turn off to ablate (see EXPERIMENTS.md).
     pub randomize_probe_starts: bool,
-    /// Use word-parallel (wide) leaf scans in vEB successor searches:
-    /// a bounded streaming scan of the leaf bitmap runs before the
-    /// summary climb, trading dependent per-level loads for contiguous
-    /// prefetchable ones (`veb::wide`). Results and atomic-op counts
-    /// are identical either way — this is a pure wall-clock knob,
-    /// A/B'd in E21. Ignored when `search` is `FlatScan` (the flat
-    /// baseline always scans wide: it has no hierarchy). Default: on.
-    pub wide_veb_scans: bool,
 }
 
 impl Default for GallatinConfig {
@@ -66,7 +58,6 @@ impl Default for GallatinConfig {
             min_buffer_slots: 4,
             search: crate::index::SearchStructure::Veb,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
         }
     }
 }
@@ -89,7 +80,6 @@ impl GallatinConfig {
             min_buffer_slots: 4,
             search: crate::index::SearchStructure::Veb,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
         }
     }
 
@@ -106,19 +96,6 @@ impl GallatinConfig {
             min_buffer_slots: 2,
             search: crate::index::SearchStructure::Veb,
             randomize_probe_starts: true,
-            wide_veb_scans: true,
-        }
-    }
-
-    /// The search structure the indexes should actually be built with:
-    /// `search` with the `wide_veb_scans` knob applied (a plain `Veb`
-    /// request is upgraded to `VebWide` when the knob is on; `FlatScan`
-    /// and an explicit `VebWide` pass through).
-    pub fn index_kind(&self) -> crate::index::SearchStructure {
-        use crate::index::SearchStructure;
-        match (self.search, self.wide_veb_scans) {
-            (SearchStructure::Veb, true) => SearchStructure::VebWide,
-            (kind, _) => kind,
         }
     }
 

@@ -14,18 +14,13 @@ pub enum SearchStructure {
     /// The paper's concurrent van Emde Boas tree.
     #[default]
     Veb,
-    /// The vEB tree with word-parallel leaf scans in front of the
-    /// summary climb (`veb::wide`; selected by
-    /// `GallatinConfig::wide_veb_scans`, E21 A/B). Identical results,
-    /// different load pattern.
-    VebWide,
     /// Single-level bitmap with linear word scans (ablation baseline).
     FlatScan,
 }
 
 /// A concurrent set over segment ids, vEB-backed or flat.
 pub enum SegmentIndex {
-    /// Backed by the concurrent vEB tree (narrow or wide search path).
+    /// Backed by the concurrent vEB tree.
     Veb(VebTree),
     /// Backed by the flat linear-scan bitset.
     Flat(FlatBitset),
@@ -36,7 +31,6 @@ impl SegmentIndex {
     pub fn new(kind: SearchStructure, universe: u64) -> Self {
         match kind {
             SearchStructure::Veb => SegmentIndex::Veb(VebTree::new(universe)),
-            SearchStructure::VebWide => SegmentIndex::Veb(VebTree::new_wide(universe)),
             SearchStructure::FlatScan => SegmentIndex::Flat(FlatBitset::new(universe)),
         }
     }
@@ -161,7 +155,7 @@ mod tests {
 
     #[test]
     fn both_backends_expose_identical_behaviour() {
-        for kind in [SearchStructure::Veb, SearchStructure::VebWide, SearchStructure::FlatScan] {
+        for kind in [SearchStructure::Veb, SearchStructure::FlatScan] {
             let s = SegmentIndex::new_full(kind, 200);
             assert_eq!(s.count(), 200);
             assert_eq!(s.claim_first_ge(0), Some(0));

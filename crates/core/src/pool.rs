@@ -226,7 +226,7 @@ impl GallatinPool {
             seg_owner: (0..geo.num_segments).map(|s| AtomicU32::new((s / per) as u32)).collect(),
             devices: (0..devices)
                 .map(|_| DeviceState {
-                    parked: SegmentIndex::new(full.index_kind(), geo.num_segments),
+                    parked: SegmentIndex::new(full.search, geo.num_segments),
                     parked_len: zero(),
                     oversize_denials: zero(),
                     cross_spills: zero(),

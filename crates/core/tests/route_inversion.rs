@@ -19,8 +19,8 @@ use std::sync::atomic::Ordering;
 /// and dependent knobs (segment size, heap size) are derived so the
 /// combination always passes validation.
 fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
-    (3u32..=6, 1usize..=4, 2u32..=6, 0u32..=2, 2u64..=8, any::<bool>(), any::<bool>()).prop_map(
-        |(e_min, n_classes, e_spb, e_seg, n_segs, flat, wide)| {
+    (3u32..=6, 1usize..=4, 2u32..=6, 0u32..=2, 2u64..=8, any::<bool>()).prop_map(
+        |(e_min, n_classes, e_spb, e_seg, n_segs, flat)| {
             let min_slice = 1u64 << e_min;
             let max_slice = min_slice << (n_classes - 1);
             let slices_per_block = 1u64 << e_spb;
@@ -35,7 +35,6 @@ fn config_strategy() -> impl Strategy<Value = GallatinConfig> {
                 min_buffer_slots: 1,
                 search: if flat { SearchStructure::FlatScan } else { SearchStructure::Veb },
                 randomize_probe_starts: true,
-                wide_veb_scans: wide,
             }
         },
     )

@@ -66,22 +66,10 @@ impl VebTree {
         VebTree { universe, levels, wide }
     }
 
-    /// An empty tree with wide (word-parallel) successor scans enabled.
-    pub fn new_wide(universe: u64) -> Self {
-        Self::with_wide(universe, true)
-    }
-
     /// A tree with every item of the universe present (Gallatin's segment
     /// tree starts with all segments free).
     pub fn new_full(universe: u64) -> Self {
         let t = Self::new(universe);
-        t.fill();
-        t
-    }
-
-    /// A full tree with wide successor scans enabled.
-    pub fn new_full_wide(universe: u64) -> Self {
-        let t = Self::new_wide(universe);
         t.fill();
         t
     }

@@ -14,16 +14,19 @@
 //! budget) so callers can fall back to the hierarchical climb for large
 //! sparse universes, where the summary walk wins again.
 //!
-//! The scan performs only `Acquire` loads — no RMWs — so enabling it
-//! never changes the atomic-op *counts* the CI smoke gate pins; it is a
-//! pure wall-clock play, A/B-able via `GallatinConfig::wide_veb_scans`
-//! (E21).
+//! The scan performs only `Acquire` loads — no RMWs — so it never
+//! changes search results or atomic-op counts. Two users remain: the
+//! flat-bitset ablation baseline ([`crate::FlatBitset`]), which has no
+//! hierarchy and always scans wide, and trees built with
+//! [`crate::VebTree::with_wide`]`(u, true)`. Gallatin's own indexes use
+//! the narrow climb: measured against it, the wide path showed no win
+//! (churn flat, the successor microbench slower).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Words OR-combined per scan iteration. Four 64-bit loads fill a cache
 /// line on the simulated (and every real) 64-byte-line host; wider
-/// strides showed no further gain in the E21 microbench.
+/// strides showed no further gain in a successor microbench.
 pub const WIDE_STRIDE: usize = 4;
 
 /// Default word budget for a bounded wide scan: how far past the query

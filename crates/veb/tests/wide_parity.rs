@@ -14,7 +14,7 @@ fn wide_and_narrow_searches_agree() {
     // Universe is big enough (3 levels) that the wide path exercises
     // Hit, Exhausted, and Bounded.
     let narrow = VebTree::new(1 << 16);
-    let wide = VebTree::new_wide(1 << 16);
+    let wide = VebTree::with_wide(1 << 16, true);
     assert!(wide.is_wide() && !narrow.is_wide());
     let mut x = 99u64;
     for _ in 0..6000 {
@@ -38,14 +38,15 @@ fn wide_and_narrow_searches_agree() {
 fn wide_sparse_universe_falls_back_to_climb() {
     // One member far past the wide budget (64 words = 4096 items):
     // the scan must hand off to the climb and still find it.
-    let t = VebTree::new_wide(1 << 18);
+    let t = VebTree::with_wide(1 << 18, true);
     t.insert((1 << 18) - 1);
     assert_eq!(t.successor(0), Some((1 << 18) - 1));
     assert_eq!(t.successor((1 << 18) - 1), Some((1 << 18) - 1));
     t.remove((1 << 18) - 1);
     assert_eq!(t.successor(0), None);
-    // new_full_wide: everything present, scans hit immediately.
-    let full = VebTree::new_full_wide(1 << 13);
+    // Everything present: scans hit immediately.
+    let full = VebTree::with_wide(1 << 13, true);
+    full.fill();
     assert_eq!(full.count(), 1 << 13);
     assert_eq!(full.successor(4097), Some(4097));
 }
