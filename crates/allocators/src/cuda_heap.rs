@@ -12,10 +12,11 @@
 //!
 //! Each allocation carries an 8-byte size header, as a device heap does.
 
-use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
+use gpu_sim::{
+    AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const HEADER: u64 = 8;
 
@@ -30,7 +31,7 @@ pub struct FirstFitHeap {
     /// Free regions keyed by offset (address-ordered → first fit is the
     /// leftmost fit; coalescing is a neighbor lookup).
     free: Mutex<BTreeMap<u64, u64>>,
-    reserved: AtomicU64,
+    reserved: StripedCounter,
 }
 
 impl FirstFitHeap {
@@ -44,13 +45,13 @@ impl FirstFitHeap {
             region_start,
             region_len,
             free: Mutex::new(map),
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
         }
     }
 
     /// Bytes currently reserved (headers included).
     pub fn reserved_bytes(&self) -> u64 {
-        self.reserved.load(Ordering::Relaxed)
+        self.reserved.load()
     }
 
     /// Whether `ptr` falls inside this heap's region.
@@ -77,7 +78,7 @@ impl FirstFitHeap {
         }
         drop(free);
         mem.store_u64(off, need);
-        self.reserved.fetch_add(need, Ordering::Relaxed);
+        self.reserved.add(need);
         DevicePtr(off + HEADER)
     }
 
@@ -92,7 +93,7 @@ impl FirstFitHeap {
             len >= HEADER && off + len <= self.region_start + self.region_len,
             "corrupt heap header"
         );
-        self.reserved.fetch_sub(len, Ordering::Relaxed);
+        self.reserved.sub(len);
         metrics.count_lock();
         let mut free = self.free.lock();
         let mut start = off;
@@ -120,7 +121,7 @@ impl FirstFitHeap {
         free.clear();
         free.insert(self.region_start, self.region_len);
         drop(free);
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
     }
 }
 

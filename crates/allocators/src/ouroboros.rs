@@ -30,7 +30,9 @@
 use crate::cuda_heap::FirstFitHeap;
 use crate::util::{class_of, class_size};
 use crossbeam::queue::{ArrayQueue, SegQueue};
-use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
+use gpu_sim::{
+    AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter,
+};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -151,7 +153,7 @@ pub struct Ouroboros {
     chunk_meta: Box<[ChunkMeta]>,
     /// CUDA-heap fallback over the reserve at the top of the arena.
     fallback: FirstFitHeap,
-    reserved: AtomicU64,
+    reserved: StripedCounter,
     metrics: Metrics,
 }
 
@@ -199,7 +201,7 @@ impl Ouroboros {
                 .map(|_| ChunkMeta { freed: AtomicU32::new(0), class: AtomicU32::new(0) })
                 .collect(),
             fallback: FirstFitHeap::new(native, heap_bytes - native),
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
             metrics: Metrics::new(),
         }
     }
@@ -349,7 +351,7 @@ impl DeviceAllocator for Ouroboros {
                 // header (8-byte-aligned payload).
                 crate::util::align_up(size, 8)
             };
-            self.reserved.fetch_add(charged, Ordering::Relaxed);
+            self.reserved.add(charged);
         }
         self.metrics.count_malloc(!ptr.is_null());
         ptr
@@ -364,12 +366,12 @@ impl DeviceAllocator for Ouroboros {
             // Reserved-bytes accounting for fallback frees uses the
             // header the first-fit heap wrote.
             let hdr = self.mem.load_u64(ptr.0 - 8);
-            self.reserved.fetch_sub(hdr.saturating_sub(8), Ordering::Relaxed);
+            self.reserved.sub(hdr.saturating_sub(8));
             self.fallback.free(&self.mem, ptr, &self.metrics);
         } else {
             let chunk = ptr.0 / CHUNK_BYTES;
             let class = self.chunk_meta[chunk as usize].class.load(Ordering::Acquire) as usize;
-            self.reserved.fetch_sub(class_size(class, MIN_PAGE), Ordering::Relaxed);
+            self.reserved.sub(class_size(class, MIN_PAGE));
             self.native_free(ptr);
         }
     }
@@ -388,7 +390,7 @@ impl DeviceAllocator for Ouroboros {
             m.class.store(0, Ordering::Relaxed);
         }
         self.fallback.reset();
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
         self.metrics.reset();
     }
 
@@ -405,10 +407,7 @@ impl DeviceAllocator for Ouroboros {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats { heap_bytes: self.mem.len() as u64, reserved_bytes: self.reserved.load() }
     }
 }
 

@@ -28,7 +28,9 @@
 //! * **CFM** — CM + fused coalescing.
 
 use crate::util::align_up;
-use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
+use gpu_sim::{
+    AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Chunk states packed into the low header bits.
@@ -115,7 +117,7 @@ pub struct RegEff {
     rovers: Vec<AtomicU64>,
     /// AW bump cursor.
     bump: AtomicU64,
-    reserved: AtomicU64,
+    reserved: StripedCounter,
     metrics: Metrics,
 }
 
@@ -137,7 +139,7 @@ impl RegEff {
             bounds,
             rovers,
             bump: AtomicU64::new(0),
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
             metrics: Metrics::new(),
         };
         alloc.init_regions();
@@ -239,7 +241,7 @@ impl RegEff {
                 if self.variant.uses_rover() {
                     self.rovers[r].store(pos + HEADER + got, Ordering::Relaxed);
                 }
-                self.reserved.fetch_add(got + HEADER, Ordering::Relaxed);
+                self.reserved.add(got + HEADER);
                 return DevicePtr(pos + HEADER);
             }
             // Used, dead, or too small: advance.
@@ -256,7 +258,7 @@ impl RegEff {
         let header = self.mem.atomic_u64(pos).load(Ordering::Acquire);
         let (state, mut size) = unpack(header);
         assert_eq!(state, USED, "free of non-allocated pointer at {}", ptr.0);
-        self.reserved.fetch_sub(size + HEADER, Ordering::Relaxed);
+        self.reserved.sub(size + HEADER);
         let r = self.bounds.partition_point(|&b| b <= pos).saturating_sub(1);
         let hi = self.bounds[r + 1];
         if self.variant.coalesces() {
@@ -350,7 +352,7 @@ impl DeviceAllocator for RegEff {
     fn reset(&self) {
         self.init_regions();
         self.bump.store(0, Ordering::Relaxed);
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
         self.metrics.reset();
     }
 
@@ -377,10 +379,7 @@ impl DeviceAllocator for RegEff {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats { heap_bytes: self.mem.len() as u64, reserved_bytes: self.reserved.load() }
     }
 }
 

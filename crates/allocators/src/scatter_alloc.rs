@@ -20,7 +20,9 @@
 //! mixes.
 
 use crate::util::align_up;
-use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics};
+use gpu_sim::{
+    AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter,
+};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Page size: the largest servable allocation.
@@ -70,7 +72,7 @@ pub struct ScatterAlloc {
     /// Chunks currently allocated per superblock — a cheap saturation
     /// hint so probes skip full superblocks.
     sb_fill: Box<[AtomicU64]>,
-    reserved: AtomicU64,
+    reserved: StripedCounter,
     metrics: Metrics,
 }
 
@@ -93,7 +95,7 @@ impl ScatterAlloc {
             mem: DeviceMemory::new(heap_bytes as usize),
             pages: (0..num_pages).map(|_| PageMeta::new()).collect(),
             sb_fill: (0..num_sbs).map(|_| AtomicU64::new(0)).collect(),
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
             metrics: Metrics::new(),
         }
     }
@@ -198,7 +200,7 @@ impl DeviceAllocator for ScatterAlloc {
                     self.claim_chunk(page, chunk, page_hash.wrapping_add(page_probe))
                 {
                     self.sb_fill[sb].fetch_add(1, Ordering::Relaxed);
-                    self.reserved.fetch_add(chunk, Ordering::Relaxed);
+                    self.reserved.add(chunk);
                     self.metrics.count_malloc(true);
                     return DevicePtr(page as u64 * PAGE_SIZE + slot * chunk);
                 }
@@ -225,7 +227,7 @@ impl DeviceAllocator for ScatterAlloc {
         assert!(prev & (1 << (slot % 64)) != 0, "double free of chunk {slot} in page {page}");
         meta.count.fetch_sub(1, Ordering::AcqRel);
         self.sb_fill[page / PAGES_PER_SB as usize].fetch_sub(1, Ordering::Relaxed);
-        self.reserved.fetch_sub(chunk, Ordering::Relaxed);
+        self.reserved.sub(chunk);
         // Pages stay dedicated: ScatterAlloc does not re-type pages.
     }
 
@@ -236,7 +238,7 @@ impl DeviceAllocator for ScatterAlloc {
         for f in self.sb_fill.iter() {
             f.store(0, Ordering::Relaxed);
         }
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
         self.metrics.reset();
     }
 
@@ -257,10 +259,7 @@ impl DeviceAllocator for ScatterAlloc {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats { heap_bytes: self.mem.len() as u64, reserved_bytes: self.reserved.load() }
     }
 }
 

@@ -26,7 +26,9 @@
 //!   divergent ones.
 
 use crate::util::{align_up, OffsetStack};
-use gpu_sim::{AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, WarpCtx};
+use gpu_sim::{
+    AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter, WarpCtx,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Smallest combined-block class.
@@ -47,7 +49,7 @@ pub struct XMalloc {
     /// Tier 2: one global overflow free list per class.
     stacks: Vec<OffsetStack>,
     bump: AtomicU64,
-    reserved: AtomicU64,
+    reserved: StripedCounter,
     metrics: Metrics,
 }
 
@@ -64,7 +66,7 @@ impl XMalloc {
             tier1: (0..classes).map(|_| std::array::from_fn(|_| OffsetStack::new())).collect(),
             stacks: (0..classes).map(|_| OffsetStack::new()).collect(),
             bump: AtomicU64::new(0),
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
             metrics: Metrics::new(),
         }
     }
@@ -132,7 +134,7 @@ impl XMalloc {
         self.mem.store_u64(base, sizes.len() as u64);
         let way = (warp_hash as usize % TIER1_WAYS) as u64;
         self.mem.store_u64(base + 8, (way << 32) | class as u64);
-        self.reserved.fetch_add(self.class_bytes(class), Ordering::Relaxed);
+        self.reserved.add(self.class_bytes(class));
         let mut out = Vec::with_capacity(sizes.len());
         let mut cursor = base + COMBINED_HEADER;
         for &span in &lane_spans {
@@ -176,7 +178,7 @@ impl DeviceAllocator for XMalloc {
             let word = self.mem.load_u64(base + 8);
             let class = (word & 0xffff_ffff) as usize;
             let way = (word >> 32) as usize % TIER1_WAYS;
-            self.reserved.fetch_sub(self.class_bytes(class), Ordering::Relaxed);
+            self.reserved.sub(self.class_bytes(class));
             self.tier1[class][way].push(base, |o, n| self.mem.store_u64(o, n));
             self.metrics.count_cas(true);
         }
@@ -210,7 +212,7 @@ impl DeviceAllocator for XMalloc {
             s.clear();
         }
         self.bump.store(0, Ordering::Relaxed);
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
         self.metrics.reset();
     }
 
@@ -228,10 +230,7 @@ impl DeviceAllocator for XMalloc {
     }
 
     fn stats(&self) -> AllocStats {
-        AllocStats {
-            heap_bytes: self.mem.len() as u64,
-            reserved_bytes: self.reserved.load(Ordering::Relaxed),
-        }
+        AllocStats { heap_bytes: self.mem.len() as u64, reserved_bytes: self.reserved.load() }
     }
 }
 

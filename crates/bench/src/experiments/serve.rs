@@ -133,7 +133,8 @@ fn fairness_tenants() -> Vec<TenantSpec> {
     ]
 }
 
-/// Base config for one sweep cell.
+/// Base config for one sweep cell, serving [`standard_tenants`] (the
+/// fairness cells swap in their own).
 fn cell_config(
     shape: ArrivalShape,
     rate: u64,
@@ -141,7 +142,6 @@ fn cell_config(
     horizon: u64,
     seed: u64,
     max_request: u64,
-    tenants: Vec<TenantSpec>,
     num_sms: u32,
 ) -> ServeConfig {
     ServeConfig {
@@ -151,7 +151,7 @@ fn cell_config(
             rate_per_kstep: rate,
             horizon_steps: horizon,
         },
-        tenants,
+        tenants: standard_tenants(),
         sched_seed: seed,
         batch_width,
         queue_capacity: 4 * batch_width.max(64),
@@ -264,16 +264,7 @@ fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
     let mut clean = true;
 
     let pool = GallatinPool::new(2, GallatinConfig::small_test(SERVE_HEAP));
-    let c = cell_config(
-        ArrivalShape::Poisson,
-        LOADS[1],
-        64,
-        horizon,
-        seed,
-        pool.stride(),
-        standard_tenants(),
-        16,
-    );
+    let c = cell_config(ArrivalShape::Poisson, LOADS[1], 64, horizon, seed, pool.stride(), 16);
     let out = run_serve_engine_sampled(&c, &pool, FRAG_SAMPLE_STEPS, &mut |step| {
         let s = pool.pool_stats();
         rows.push(format!(
@@ -288,16 +279,7 @@ fn frag_timeline(cfg: &HarnessConfig, seed: u64, horizon: u64) -> bool {
     clean &= out.clean();
 
     let dp = DevicePool::new(2, 1, GallatinConfig::small_test(SERVE_HEAP));
-    let c = cell_config(
-        ArrivalShape::Poisson,
-        LOADS[1],
-        64,
-        horizon,
-        seed,
-        dp.stride(),
-        standard_tenants(),
-        16,
-    );
+    let c = cell_config(ArrivalShape::Poisson, LOADS[1], 64, horizon, seed, dp.stride(), 16);
     let out = run_serve_engine_sampled(&c, &dp, FRAG_SAMPLE_STEPS, &mut |step| {
         let s = dp.topo_stats();
         let (free_segs, denials) = s
@@ -396,16 +378,7 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
     for (name, alloc, max_req) in backends() {
         for &shape in shapes {
             for &rate in loads {
-                let c = cell_config(
-                    shape,
-                    rate,
-                    64,
-                    horizon,
-                    seed,
-                    max_req,
-                    standard_tenants(),
-                    cfg.num_sms.min(16),
-                );
+                let c = cell_config(shape, rate, 64, horizon, seed, max_req, cfg.num_sms.min(16));
                 let out = run_cell(&name, alloc.as_ref(), "load", &c, &mut records, &mut table);
                 clean &= out.clean();
             }
@@ -425,7 +398,6 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             horizon,
             seed,
             max_req,
-            standard_tenants(),
             cfg.num_sms.min(16),
         );
         let out = run_cell(&name, alloc.as_ref(), "roster", &c, &mut records, &mut table);
@@ -444,7 +416,6 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
                 horizon,
                 seed,
                 max_req,
-                standard_tenants(),
                 cfg.num_sms.min(16),
             );
             let out = run_cell(&name, alloc.as_ref(), "batch-width", &c, &mut records, &mut table);
@@ -463,9 +434,9 @@ pub fn run_serve(cfg: &HarnessConfig) -> bool {
             horizon,
             seed,
             max_req,
-            fairness_tenants(),
             cfg.num_sms.min(16),
         );
+        c.tenants = fairness_tenants();
         c.enforce_quotas = enforce;
         let out = run_cell(&name, alloc.as_ref(), "fairness", &c, &mut records, &mut table);
         let victim = out.tenants.iter().find(|t| t.name == "victim").expect("victim tenant");

@@ -39,8 +39,8 @@ use crate::gallatin::Gallatin;
 use crate::pool::{GallatinPool, UNOWNED};
 use crate::table::MemoryTable;
 use crate::tiers::{BlockTier, SegmentTier, SliceTier};
-use gpu_sim::{trace, DeviceMemory, Metrics};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gpu_sim::{trace, DeviceMemory, Metrics, StripedCounter};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl Gallatin {
@@ -81,7 +81,7 @@ impl Gallatin {
             table,
             metrics: Metrics::new(),
             randomize_probes: cfg.randomize_probe_starts,
-            reserved: AtomicU64::new(0),
+            reserved: StripedCounter::new(),
             span: (first_seg, num_segs),
         }
     }
@@ -100,7 +100,7 @@ impl Gallatin {
             t.clear();
         }
         self.metrics.reset();
-        self.reserved.store(0, Ordering::Relaxed);
+        self.reserved.clear();
     }
 
     /// Withdraw one free segment from this instance's segment tree (the

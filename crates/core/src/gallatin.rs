@@ -25,9 +25,9 @@ use crate::config::{GallatinConfig, Geometry};
 use crate::table::{BlockHandle, MemoryTable, LARGE_BASE, LARGE_BODY, TREE_FREE};
 use crate::tiers::{BlockTier, SegmentTier, SliceTier, TierCtx};
 use gpu_sim::{
-    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, WarpCtx,
+    trace, AllocStats, DeviceAllocator, DeviceMemory, DevicePtr, LaneCtx, Metrics, StripedCounter,
+    WarpCtx,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Gallatin GPU memory manager.
@@ -49,8 +49,9 @@ pub struct Gallatin {
     /// [`GallatinConfig::randomize_probe_starts`].
     pub(crate) randomize_probes: bool,
     /// Bytes reserved by live allocations (internal accounting, includes
-    /// size-class rounding).
-    pub(crate) reserved: AtomicU64,
+    /// size-class rounding), striped by SM so mallocs and frees on
+    /// different SMs never write the same cache line.
+    pub(crate) reserved: StripedCounter,
     /// The segment span `[first, first+count)` this instance initially
     /// owns — the whole universe standalone, one shard in pool mode.
     /// `reset_local` restores exactly this span.
@@ -152,16 +153,18 @@ impl Gallatin {
 
     /// Bytes reserved by live allocations, saturated against wrap.
     ///
-    /// The `reserved` counter is adjusted with unpaired Relaxed
-    /// `fetch_add`/`fetch_sub` on the malloc and free paths, so a reader
-    /// racing those updates can observe the subtraction before the
-    /// matching addition and see the counter momentarily below zero —
-    /// which as a `u64` reads as ~2^64. Stats must never surface that
-    /// absurdity, so a wrapped reading reports 0. (The transient is
-    /// read-side only: the adds and subs themselves always pair off, and
-    /// [`Self::check_invariants`] verifies the settled value exactly.)
+    /// `reserved` is a [`StripedCounter`]: the malloc and free paths add
+    /// and subtract on the calling SM's stripe, and this reads the
+    /// wrapping sum of all stripes. A free often lands on another stripe
+    /// than its malloc, so single stripes routinely wrap; only the sum
+    /// means anything. A reader racing those updates can still see a
+    /// subtraction before its matching addition, i.e. a sum momentarily
+    /// below zero — which as a `u64` reads as ~2^64. Stats must never
+    /// surface that absurdity, so a wrapped sum reports 0. (The transient
+    /// is read-side only: the adds and subs themselves always pair off,
+    /// and [`Self::check_invariants`] verifies the settled sum exactly.)
     pub fn reserved_bytes(&self) -> u64 {
-        let raw = self.reserved.load(Ordering::Relaxed);
+        let raw = self.reserved.load();
         if (raw as i64) < 0 {
             0
         } else {
@@ -212,9 +215,9 @@ impl Gallatin {
         let computed_reserved =
             self.segments.check(&ctx, &self.blocks, &buffered, owned, &mut errors);
         // Invariant 5: the reserved counter matches the table. Checked on
-        // the raw counter, not the saturating accessor — a wrapped value
-        // is itself the violation being reported.
-        let reserved = self.reserved.load(Ordering::Acquire);
+        // the raw sum of its stripes, not the saturating accessor — a
+        // wrapped sum is itself the violation being reported.
+        let reserved = self.reserved.load();
         if computed_reserved != reserved {
             let wrapped = if (reserved as i64) < 0 { " (wrapped below zero)" } else { "" };
             errors.push(format!(
@@ -284,7 +287,7 @@ impl Gallatin {
         let seg = handle.segment(self.geo.max_blocks);
         let block = handle.block(self.geo.max_blocks);
         self.table.seg(seg).set_whole_block(block);
-        self.reserved.fetch_add(self.geo.block_size(class), Ordering::Relaxed);
+        self.reserved.add(self.geo.block_size(class));
         let off = self.geo.offset_of(seg, block, 0, class);
         trace::emit(|| trace::TraceEvent::Malloc {
             size: self.geo.block_size(class),
@@ -300,7 +303,7 @@ impl Gallatin {
         let n = self.geo.segments_for(size);
         match self.segments.claim_back(&self.ctx(), n) {
             Some(start) => {
-                self.reserved.fetch_add(n * self.geo.segment_bytes, Ordering::Relaxed);
+                self.reserved.add(n * self.geo.segment_bytes);
                 let off = start * self.geo.segment_bytes;
                 trace::emit(|| trace::TraceEvent::Malloc {
                     size: n * self.geo.segment_bytes,
@@ -364,7 +367,7 @@ impl Gallatin {
                     ptr: off,
                     size: self.geo.block_size(class),
                 });
-                self.reserved.fetch_sub(self.geo.block_size(class), Ordering::Relaxed);
+                self.reserved.sub(self.geo.block_size(class));
                 self.blocks.free_block(
                     &ctx,
                     BlockHandle::new(seg, block, self.geo.max_blocks),
@@ -385,7 +388,7 @@ impl Gallatin {
                         ptr: off,
                         size: n * self.geo.segment_bytes,
                     });
-                    self.reserved.fetch_sub(n * self.geo.segment_bytes, Ordering::Relaxed);
+                    self.reserved.sub(n * self.geo.segment_bytes);
                     self.segments.tree.insert_range(seg, n);
                 }
                 // Raced large free: the run length is gone, size unknown.
@@ -448,7 +451,7 @@ impl DeviceAllocator for Gallatin {
                         ptr: off,
                         size: self.geo.block_size(class),
                     });
-                    self.reserved.fetch_sub(self.geo.block_size(class), Ordering::Relaxed);
+                    self.reserved.sub(self.geo.block_size(class));
                     self.blocks.free_block(
                         &ctx,
                         BlockHandle::new(seg, block, self.geo.max_blocks),
@@ -481,7 +484,7 @@ impl DeviceAllocator for Gallatin {
                             ptr: off,
                             size: n * self.geo.segment_bytes,
                         });
-                        self.reserved.fetch_sub(n * self.geo.segment_bytes, Ordering::Relaxed);
+                        self.reserved.sub(n * self.geo.segment_bytes);
                         self.segments.tree.insert_range(seg, n);
                     }
                     None => {
@@ -591,7 +594,8 @@ impl DeviceAllocator for Gallatin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{launch_warps, DeviceConfig};
+    use gpu_sim::{launch_warps, with_metrics_stripe, DeviceConfig};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny() -> Gallatin {
         Gallatin::new(GallatinConfig::small_test(1 << 20)) // 16 segments
@@ -774,10 +778,10 @@ mod tests {
         let g = tiny();
         with_lane(|l| {
             let p = g.malloc(l, 16);
-            g.reserved.fetch_add(1, Ordering::Relaxed);
+            g.reserved.add(1);
             let err = g.check_invariants().unwrap_err();
             assert!(err.contains("reserved accounting mismatch"), "unexpected report: {err}");
-            g.reserved.fetch_sub(1, Ordering::Relaxed);
+            g.reserved.sub(1);
             g.free(l, p);
             g.check_invariants().expect("healthy after undoing the drift");
         });
@@ -786,13 +790,15 @@ mod tests {
     #[test]
     fn reserved_stat_never_reports_a_wrapped_value() {
         let g = tiny();
-        // Simulate the read-side transient: a free's fetch_sub observed
-        // before the matching malloc's fetch_add drives the raw counter
-        // below zero (~2^64 as a u64).
-        g.reserved.fetch_sub(4096, Ordering::Relaxed);
+        // Simulate the read-side transient: a free's subtraction
+        // observed before the matching malloc's addition drives the sum
+        // of the stripes below zero (~2^64 as a u64).
+        g.reserved.sub(4096);
         assert_eq!(g.stats().reserved_bytes, 0, "wrapped counter must saturate to 0");
         assert_eq!(g.reserved_bytes(), 0);
-        g.reserved.fetch_add(4096, Ordering::Relaxed);
+        let err = g.check_invariants().unwrap_err();
+        assert!(err.contains("wrapped below zero"), "unexpected report: {err}");
+        g.reserved.add(4096);
         assert_eq!(g.stats().reserved_bytes, 0);
         // Ordinary values pass through untouched.
         with_lane(|l| {
@@ -802,6 +808,65 @@ mod tests {
             assert_eq!(g.stats().reserved_bytes, 0);
         });
         g.check_invariants().expect("healthy after the transient was undone");
+    }
+
+    #[test]
+    fn cross_stripe_free_settles_the_reserved_sum() {
+        // Malloc on SM 3's stripe, free on SM 7's: each cell keeps a
+        // non-zero (one of them wrapped) share, but the sum is exact.
+        let g = tiny();
+        let sizes = [16u64, 256, 1024, 4096, 2 * (64 << 10)];
+        let ptrs = with_metrics_stripe(3, || with_lane(|l| sizes.map(|s| g.malloc(l, s))));
+        assert!(ptrs.iter().all(|p| !p.is_null()));
+        let held = g.reserved_bytes();
+        assert!(held > 0);
+        g.check_invariants().expect("live allocations across stripes");
+        with_metrics_stripe(7, || with_lane(|l| ptrs.iter().for_each(|&p| g.free(l, p))));
+        let cells: Vec<u64> = g.reserved.cells().collect();
+        assert_eq!(cells[3], held);
+        assert_eq!(cells[7], held.wrapping_neg());
+        assert_eq!(g.reserved_bytes(), 0);
+        g.check_invariants().expect("cross-stripe frees pair off in the sum");
+    }
+
+    #[test]
+    fn free_running_128_sm_storm_settles_reserved() {
+        // Free-running (default mode) malloc storm over 128 SMs, mixed
+        // slice and whole-block sizes; each warp's allocations are then
+        // freed on the next SM's stripe, serially from the host (concurrent
+        // block recycles can still race a segment reclaim, an open
+        // block-tier defect). A null malloc is tolerated: a lane gives up
+        // after bounded retries while its SM's block replacer is descheduled.
+        let g = Gallatin::new(GallatinConfig::small_test(16 << 20));
+        let dev = DeviceConfig::with_sms(128);
+        let warps = 256u64;
+        let size = |tid: u64| match tid % 8 {
+            0 => 1024,
+            1 => 4096,
+            t => 16 << (t % 5),
+        };
+        let held: Vec<AtomicU64> = (0..warps * 32).map(|_| AtomicU64::new(0)).collect();
+        for round in 0..3 {
+            launch_warps(dev, warps * 32, |warp| {
+                let sizes: Vec<Option<u64>> =
+                    warp.lanes().map(|l| Some(size(warp.base_tid + l as u64 + round))).collect();
+                let mut out = vec![DevicePtr::NULL; warp.active as usize];
+                g.warp_malloc(warp, &sizes, &mut out);
+                for (l, p) in out.iter().enumerate() {
+                    held[warp.base_tid as usize + l].store(p.0, Ordering::Relaxed);
+                }
+            });
+            assert!(g.reserved_bytes() > 0);
+            for tid in 0..warps * 32 {
+                let sm = (tid / 32 + 1) as u32 % 128;
+                let p = DevicePtr(held[tid as usize].load(Ordering::Relaxed));
+                if !p.is_null() {
+                    with_metrics_stripe(sm, || with_lane(|l| g.free(l, p)));
+                }
+            }
+            assert_eq!(g.reserved_bytes(), 0, "round {round}");
+            g.check_invariants().expect("invariants violated after the storm");
+        }
     }
 
     #[test]

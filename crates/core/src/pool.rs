@@ -713,9 +713,9 @@ mod tests {
         let mut out = vec![DevicePtr(7); 32];
         p.warp_malloc(&w, &sizes, &mut out);
         assert!(out.iter().all(|q| q.is_null()), "oversize lanes must come back NULL");
-        for i in 0..4 {
+        for (i, before) in before.iter().enumerate() {
             let after = p.instance(i).metrics().unwrap().snapshot();
-            assert_eq!(after, before[i], "instance {i} saw traffic for an unservable size");
+            assert_eq!(after, *before, "instance {i} saw traffic for an unservable size");
         }
         assert_eq!(p.total_spills(), 0, "an unservable size is not a spill");
         assert_eq!(p.pool_stats().oversize_denials, 33, "1 scalar + 32 collective lanes");
@@ -733,11 +733,11 @@ mod tests {
             (0..32).map(|l| Some(if l % 2 == 0 { 64 } else { p.stride() + 1 })).collect();
         let mut out = vec![DevicePtr::NULL; 32];
         p.warp_malloc(&w, &sizes, &mut out);
-        for lane in 0..32 {
+        for (lane, q) in out.iter().enumerate() {
             if lane % 2 == 0 {
-                assert!(!out[lane].is_null(), "eligible lane {lane} must be served");
+                assert!(!q.is_null(), "eligible lane {lane} must be served");
             } else {
-                assert!(out[lane].is_null(), "oversize lane {lane} must be denied");
+                assert!(q.is_null(), "oversize lane {lane} must be denied");
             }
         }
         assert_eq!(p.pool_stats().oversize_denials, 16);

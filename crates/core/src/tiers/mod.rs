@@ -34,8 +34,7 @@ pub(crate) use slice::SliceTier;
 
 use crate::config::Geometry;
 use crate::table::MemoryTable;
-use gpu_sim::Metrics;
-use std::sync::atomic::AtomicU64;
+use gpu_sim::{Metrics, StripedCounter};
 
 /// The read-only seam every tier operates through: borrowed views of the
 /// composition root's shared state, rebuilt per call (it is all
@@ -48,8 +47,8 @@ pub(crate) struct TierCtx<'a> {
     pub table: &'a MemoryTable,
     /// Striped instrumentation counters.
     pub metrics: &'a Metrics,
-    /// Bytes reserved by live allocations (shared accounting).
-    pub reserved: &'a AtomicU64,
+    /// Bytes reserved by live allocations, striped by SM like `metrics`.
+    pub reserved: &'a StripedCounter,
     /// Start tree probes at an SM-hashed position (paper §4.3).
     pub randomize_probes: bool,
 }

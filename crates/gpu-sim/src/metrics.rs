@@ -25,6 +25,14 @@
 //! unit tests) fall back to stripe 0, which is correct because every
 //! accessor sums all stripes.
 //!
+//! The same stripe machinery carries byte accounting too: a
+//! [`StripedCounter`] is one wrapping `u64` split into per-SM
+//! cache-line cells, written through the same [`with_metrics_stripe`]
+//! selection. Allocators keep their "bytes reserved by live
+//! allocations" in one, so a malloc on one SM and a free on another
+//! never write the same line; only the host-side reader sums the cells.
+//! Its updates are neither counted nor preemption points.
+//!
 //! The counting sites double as the scheduler's *preemption points*: a
 //! `count_rmw`/`count_cas`/`count_lock` call marks "this thread just
 //! touched contended shared state", which is exactly where interleavings
@@ -115,6 +123,78 @@ impl Stripe {
     }
 }
 
+/// The current thread's stripe index.
+#[inline]
+fn current_stripe() -> usize {
+    CURRENT_STRIPE.with(|c| c.get())
+}
+
+/// One [`StripedCounter`] cell, alone on its cache line pair.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct PaddedCell(AtomicU64);
+
+/// A wrapping `u64` sum split into per-SM cells: `add`/`sub` write only
+/// the current stripe's cell (chosen like [`Metrics`]' stripes, by
+/// [`with_metrics_stripe`]), and [`Self::load`] returns the wrapping sum
+/// of every cell.
+///
+/// A value added on one stripe and subtracted on another leaves both
+/// cells non-zero, yet the sum is exact. Individual cells therefore mean
+/// nothing on their own. The sum is exact once writers are quiescent
+/// (the launch join orders their updates before the host's read); a
+/// reader racing writers may see a subtraction before its matching
+/// addition, i.e. a momentarily wrapped sum. Updates are Relaxed and are
+/// neither counted nor preemption points, so using one never changes a
+/// deterministic schedule.
+#[derive(Debug)]
+pub struct StripedCounter {
+    cells: [PaddedCell; STRIPES],
+}
+
+impl Default for StripedCounter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StripedCounter {
+    /// New counter reading 0.
+    pub fn new() -> Self {
+        StripedCounter { cells: std::array::from_fn(|_| PaddedCell::default()) }
+    }
+
+    /// Add `n` (wrapping) on the current thread's stripe.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.cells[current_stripe()].0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtract `n` (wrapping) on the current thread's stripe.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.cells[current_stripe()].0.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// The wrapping sum of every stripe.
+    pub fn load(&self) -> u64 {
+        self.cells.iter().fold(0u64, |acc, c| acc.wrapping_add(c.0.load(Ordering::Relaxed)))
+    }
+
+    /// Each stripe's raw cell, for diagnostics and tests. A cell alone
+    /// means nothing (see the type docs); only [`Self::load`] does.
+    pub fn cells(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed))
+    }
+
+    /// Zero every stripe.
+    pub fn clear(&self) {
+        for c in &self.cells {
+            c.0.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Relaxed operation counters for one allocator instance, striped by SM.
 #[derive(Debug)]
 pub struct Metrics {
@@ -137,7 +217,7 @@ impl Metrics {
     /// The stripe the current thread writes to.
     #[inline]
     fn stripe(&self) -> &Stripe {
-        &self.stripes[CURRENT_STRIPE.with(|c| c.get())]
+        &self.stripes[current_stripe()]
     }
 
     /// Sum one cell across all stripes.
@@ -420,6 +500,39 @@ mod tests {
         assert_eq!(s.frees, 1);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn striped_counter_sums_across_stripes_and_clears() {
+        // SM s adds s + 1 a thousand times and takes 1 back as often, on
+        // its own stripe (32 SMs share the 16 cells two apiece).
+        let c = StripedCounter::new();
+        std::thread::scope(|s| {
+            for sm in 0..32u32 {
+                let c = &c;
+                s.spawn(move || {
+                    with_metrics_stripe(sm, || {
+                        for _ in 0..1_000 {
+                            c.add(sm as u64 + 1);
+                            c.sub(1);
+                        }
+                    });
+                });
+            }
+        });
+        let total: u64 = (0..32u64).map(|sm| 1_000 * sm).sum();
+        assert_eq!(c.load(), total);
+        // The host thread (stripe 0) releases everything the SMs hold:
+        // cell 0 wraps below zero, every other cell stays positive, and
+        // the sum is exactly 0.
+        c.sub(total);
+        assert_eq!(c.load(), 0);
+        assert!(c.cells().all(|cell| cell != 0));
+        c.sub(1);
+        assert_eq!(c.load(), u64::MAX, "the sum wraps, it does not saturate");
+        c.clear();
+        assert_eq!(c.load(), 0);
+        assert!(c.cells().all(|cell| cell == 0));
     }
 
     #[test]
